@@ -86,9 +86,11 @@ from .priors import (
 )
 from .oracles import (
     EvidenceEstimate,
+    QuadratureGrid,
     conjugate_log_z,
     importance_log_z,
     log_posterior_unnorm,
+    log_target_curvature,
     posterior_mass,
     posterior_mode,
     quadrature_log_z,
@@ -131,9 +133,9 @@ __all__ = [
     "LipschitzReport", "Prior", "extremes_over_ball", "gaussian_product",
     "get_prior", "laplace_product", "lipschitz_certificate", "log_density",
     "student_product", "uniform_box",
-    "EvidenceEstimate", "conjugate_log_z", "importance_log_z",
-    "log_posterior_unnorm", "posterior_mass", "posterior_mode",
-    "quadrature_log_z",
+    "EvidenceEstimate", "QuadratureGrid", "conjugate_log_z", "importance_log_z",
+    "log_posterior_unnorm", "log_target_curvature", "posterior_mass",
+    "posterior_mode", "quadrature_log_z",
     "BoundsReport", "compute_bounds",
     "BicScanReport", "CompareReport", "ConcentrationReport", "CoverageReport",
     "ExperimentConfig", "build_context", "load_config", "run_bic_scan",

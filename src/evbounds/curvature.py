@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, LinAlgError, eigh
 
-from .errors import ConfigError, SingularityError
+from .errors import ConfigError, NumericalError, SingularityError
 from .pseudotrue import kl_gap
 
 
@@ -201,7 +201,10 @@ def check_assumption1(family, X, true_mean, fit, cert, ell, n_samples=10_000, se
     # spot-verify the vectorized kl on one sample against the scalar routine
     if len(pts):
         kl0 = kl_gap(family, X, true_mean, fit.beta_star, pts[0])
-        assert abs(kl0 - kl[0]) <= 1e-8 * (1 + abs(kl0))
+        if not abs(kl0 - kl[0]) <= 1e-8 * (1 + abs(kl0)):
+            raise NumericalError(
+                f"vectorized KL gap {kl[0]!r} disagrees with the scalar "
+                f"routine {kl0!r} at the first sample")
     return Assumption1Report(
         n_samples=int(n_samples), c=cert.c, c_constraint_ok=cert.c_in_range,
         violations=violations, upper_slack=upper_slack, lower_slack=lower_slack)

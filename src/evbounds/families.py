@@ -38,9 +38,37 @@ def _sigmoid(t):
     return out
 
 
+_SOFTPLUS_BLOCK = 16384  # elements per pass: the scratch block stays in cache
+
+
 def _softplus(t):
+    # log(1 + e^t) = max(t, 0) + log1p(e^-|t|), in place block by block:
+    # one output array and a cache-sized scratch buffer, no full-size
+    # temporaries (the likelihood kernels budget two arrays of t's size).
+    # dtype preserving, so the rate certification can run it in longdouble.
     t = np.asarray(t)
-    return np.logaddexp(np.asarray(0.0, dtype=t.dtype), t)
+    if t.dtype.kind != "f":
+        t = t.astype(float)
+    out = np.empty(t.shape, dtype=t.dtype)
+    flat_t, flat_out = np.ravel(t), out.reshape(-1)
+    buf = np.empty(min(flat_t.size, _SOFTPLUS_BLOCK), dtype=t.dtype)
+    for s in range(0, flat_t.size, _SOFTPLUS_BLOCK):
+        tb, ob = flat_t[s:s + _SOFTPLUS_BLOCK], flat_out[s:s + _SOFTPLUS_BLOCK]
+        b = buf[:tb.size]
+        np.abs(tb, out=b)
+        np.negative(b, out=b)
+        np.exp(b, out=b)
+        np.log1p(b, out=b)
+        np.maximum(tb, 0, out=ob)
+        ob += b
+    return out[()]
+
+
+def _half_square(t):
+    t = np.asarray(t)
+    out = np.square(t)
+    out *= 0.5
+    return out
 
 
 @dataclass(frozen=True)
@@ -87,7 +115,7 @@ def _logistic_a2_extremes(lo, hi):
 def gaussian_family():
     return GlmFamily(
         name="gaussian",
-        a=lambda t: np.asarray(t) ** 2 / 2,
+        a=_half_square,
         a1=lambda t: np.asarray(t),
         a2=lambda t: np.ones_like(np.asarray(t, dtype=float)
                                   if np.asarray(t).dtype.kind != "f"

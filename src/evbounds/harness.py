@@ -12,6 +12,8 @@ from __future__ import annotations
 import csv
 import json
 import math
+import multiprocessing
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict, replace
 
@@ -20,9 +22,11 @@ import numpy as np
 from .bounds import compute_bounds
 from .curvature import certificate, default_ellipsoid
 from .datagen import derive_rng, derive_seed, make_design, get_mechanism, replicate_rng
-from .errors import ConfigError, EvboundsError, NumericalError, ReliabilityError
+from .errors import (BoxError, ConfigError, EvboundsError, NumericalError,
+                     ReliabilityError, SingularityError)
 from .families import get_family, log_likelihood_full
-from .oracles import conjugate_log_z, importance_log_z, posterior_mass, quadrature_log_z
+from .oracles import (QuadratureGrid, conjugate_log_z, importance_log_z,
+                      log_target_curvature, posterior_mass, quadrature_log_z)
 from .priors import extremes_over_ball, get_prior
 from .process import calibrate_C, exact_sup_ellipsoid, theoretical_C
 from .pseudotrue import solve_pseudo_true
@@ -83,6 +87,7 @@ class ExperimentConfig:
             elif key in ("n_grid", "candidates"):
                 kwargs[key] = tuple(value) if value is not None else None
             elif key in valid:
+                _check_type(key, value, cls.__dataclass_fields__[key].type)
                 kwargs[key] = value
             else:
                 raise ConfigError(f"unknown config key {key!r}")
@@ -125,9 +130,27 @@ class ExperimentConfig:
         raise ConfigError("config needs d or d_rule")
 
 
+_SCALAR_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str}
+
+
+def _check_type(key, value, annotation):
+    """Refuse a scalar config value of the wrong type (e.g. "n": "abc")."""
+    kind, _, alternative = annotation.partition(" | ")
+    expected = _SCALAR_TYPES.get(kind)
+    if expected is None or (value is None and alternative == "None"):
+        return
+    if isinstance(value, bool) or not isinstance(value, expected):
+        raise ConfigError(f"config key {key!r} must be {kind}, got {value!r}")
+
+
 def load_config(path):
-    with open(path) as fh:
-        flat = json.load(fh)
+    try:
+        with open(path) as fh:
+            flat = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path!r}: {exc.strerror}")
+    except ValueError as exc:  # malformed JSON or text encoding
+        raise ConfigError(f"config file {path!r} is not valid JSON: {exc}")
     if not isinstance(flat, dict):
         raise ConfigError("config file must hold a flat JSON object")
     return ExperimentConfig.from_flat(flat)
@@ -153,6 +176,7 @@ class PipelineContext:
     prior_ext: tuple
     proc: object
     base_report: object  # bounds at loglik = 0; per-replicate bounds are shifts
+    quad_grid: object = None  # quadrature grid shared by a coverage study's replicates
 
 
 def _build_mechanism(config, d):
@@ -231,6 +255,11 @@ def _run_oracle(ctx, y, replicate):
         tau_p = ctx.prior.params["tau_p"]
         return conjugate_log_z(ctx.X, y, config.sigma, tau_p)
     if method == "quadrature":
+        if ctx.quad_grid is not None:
+            try:
+                return ctx.quad_grid.log_z(y)
+            except (BoxError, ReliabilityError):
+                pass  # the shared box does not suit this response: use its own
         return quadrature_log_z(ctx.family, ctx.X, y, ctx.prior,
                                 box_halfwidth=config.box_halfwidth,
                                 n_nodes_per_dim=config.n_nodes_per_dim)
@@ -289,21 +318,38 @@ def _coverage_row(ctx, replicate):
     return row
 
 
-_CTX_CACHE = {}
-
-
-def _ctx_for_flat(flat_json):
-    ctx = _CTX_CACHE.get(flat_json)
-    if ctx is None:
-        config = ExperimentConfig.from_flat(json.loads(flat_json))
-        ctx = build_context(config)
-        _CTX_CACHE[flat_json] = ctx
+def _coverage_context(config):
+    """The pipeline context of a coverage study.  A quadrature oracle gets
+    one y-free grid centred at beta* and scaled by the log-target curvature
+    there, shared by every replicate; a replicate the shared grid cannot
+    certify retries on a grid centred at its own posterior mode."""
+    ctx = build_context(config)
+    if _resolve_oracle(config, ctx.d) == "quadrature":
+        centre = ctx.fit.beta_star
+        try:
+            ctx.quad_grid = QuadratureGrid(
+                ctx.family, ctx.X, ctx.prior, centre,
+                log_target_curvature(ctx.family, ctx.X, ctx.prior, centre),
+                box_halfwidth=config.box_halfwidth,
+                n_nodes_per_dim=config.n_nodes_per_dim)
+        except SingularityError:
+            pass  # every replicate integrates on its own mode-centred grid
     return ctx
 
 
-def _coverage_worker(args):
-    flat_json, replicate = args
-    return replicate, _coverage_row(_ctx_for_flat(flat_json), replicate)
+# the context of the study a pool worker serves, set once per worker process
+_worker_ctx = None
+
+
+def _init_coverage_worker(flat_json):
+    # contexts hold closures that do not pickle; rebuilding one from its
+    # config is deterministic, so every worker sees the parent's context
+    global _worker_ctx
+    _worker_ctx = _coverage_context(ExperimentConfig.from_flat(json.loads(flat_json)))
+
+
+def _coverage_worker(replicate):
+    return _coverage_row(_worker_ctx, replicate)
 
 
 @dataclass
@@ -362,15 +408,15 @@ def run_coverage(config):
     Failures (oracle reliability, certification) are counted separately
     from misses; n_replicates = hits + misses + failures always.
     """
-    ctx = build_context(config)
-    flat_json = json.dumps(config.to_flat(), sort_keys=True)
-    _CTX_CACHE[flat_json] = ctx
+    ctx = _coverage_context(config)
     reps = range(config.n_replicates)
     if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            results = dict(pool.map(_coverage_worker,
-                                    [(flat_json, r) for r in reps], chunksize=8))
-        rows = [results[r] for r in reps]
+        flat_json = json.dumps(config.to_flat(), sort_keys=True)
+        with ProcessPoolExecutor(max_workers=config.jobs,
+                                 mp_context=multiprocessing.get_context("spawn"),
+                                 initializer=_init_coverage_worker,
+                                 initargs=(flat_json,)) as pool:
+            rows = list(pool.map(_coverage_worker, reps, chunksize=8))
     else:
         rows = [_coverage_row(ctx, r) for r in reps]
     hits = sum(r["hit"] for r in rows)

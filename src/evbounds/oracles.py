@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, LinAlgError
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from .errors import (BoxError, CapabilityError, ConfigError, NonConvergenceError,
                      ReliabilityError, SingularityError)
@@ -32,25 +32,61 @@ class EvidenceEstimate:
     ess: float | None = None
 
 
+# doubles per n-by-k block of linear predictors (512 KB).  The cumulant
+# kernels hold at most two such blocks at once, the predictors and their
+# cumulants, and at this size both stay in cache: blocks of 1e6 doubles
+# ran the kernels 2-4x slower.
+_CHUNK_DOUBLES = 2**16
+
+
+def _chunk_points(n):
+    return max(1, int(_CHUNK_DOUBLES // max(1, n)))
+
+
+def _cumulant_sum(family, X, points):
+    """A(beta) = sum_i a(x_i'beta) for each row beta of `points`."""
+    return np.sum(family.a(X @ points.T), axis=0)
+
+
 def log_posterior_unnorm(family, X, y, prior):
-    """Callable evaluating log{ p(y|beta) pi(beta) } on rows of points."""
+    """Callable evaluating log{ p(y|beta) pi(beta) } on rows of points.
+
+    Canonical form: log p(y|beta) = (X'y)'beta - A(beta) + base(y), so the
+    response enters only through s = X'y and the base measure.
+    """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
+    s = X.T @ y
     base = family.log_base_measure(y)
 
     def logf(points):
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.empty(points.shape[0])
-        chunk = max(1, int(2e6 // max(1, X.shape[0])))
-        for s in range(0, points.shape[0], chunk):
-            P = points[s:s + chunk]
-            T = X @ P.T
-            out[s:s + chunk] = y @ T - np.sum(family.a(T), axis=0)
+        out = points @ s
+        chunk = _chunk_points(X.shape[0])
+        for k in range(0, points.shape[0], chunk):
+            out[k:k + chunk] -= _cumulant_sum(family, X, points[k:k + chunk])
         with np.errstate(invalid="ignore"):
             out += np.sum(prior.logpdf(points), axis=1)
         return out + base
 
     return logf
+
+
+def log_target_curvature(family, X, prior, beta):
+    """-(Hessian of the log target) at beta: X' diag(a''(X beta)) X plus the
+    prior precision, capped for kinked priors (a uniform box adds none).
+
+    It does not depend on the response, so one curvature serves every
+    dataset drawn on a design.
+    """
+    t = X @ beta
+    curvature = (X * family.a2(t)[:, None]).T @ X
+    if prior.kind != "uniform-box":
+        prior_prec = -prior.d2(beta)
+        if prior.curvature_cap is not None:
+            prior_prec = np.minimum(prior_prec, prior.curvature_cap)
+        curvature = curvature + np.diag(prior_prec)
+    return curvature
 
 
 def posterior_mode(family, X, y, prior, tol=None, max_iter=200):
@@ -122,14 +158,7 @@ def posterior_mode(family, X, y, prior, tol=None, max_iter=200):
             break  # no usable step left; accept current point
     else:
         raise NonConvergenceError("posterior mode search did not converge")
-    t = X @ beta
-    curvature = (X * family.a2(t)[:, None]).T @ X
-    if box is None:
-        prior_prec = -prior.d2(beta)
-        if prior.curvature_cap is not None:
-            prior_prec = np.minimum(prior_prec, prior.curvature_cap)
-        curvature = curvature + np.diag(prior_prec)
-    return beta, curvature
+    return beta, log_target_curvature(family, X, prior, beta)
 
 
 def conjugate_log_z(X, y, sigma, tau_p):
@@ -180,81 +209,120 @@ def _panel_nodes(lo, hi, interior_kinks, n_nodes):
     return np.concatenate(nodes), np.concatenate(logw)
 
 
-def _tensor_logz(logf, axes):
-    """log integral via tensor-product nodes; returns (log_z, interior and
-    boundary maxima of the log-integrand, number of evaluations)."""
-    node_list = [a[0] for a in axes]
-    logw_list = [a[1] for a in axes]
-    mesh = np.meshgrid(*node_list, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    logF = logf(pts)
-    logW = np.zeros(pts.shape[0])
-    shape = tuple(len(n) for n in node_list)
-    for dim, lw in enumerate(logw_list):
-        reshaped = lw.reshape([-1 if k == dim else 1 for k in range(len(axes))])
-        logW += np.broadcast_to(reshaped, shape).ravel()
-    log_z = float(logsumexp(logF + logW))
-    # boundary shell: any index at either end of its axis
-    grid_logF = logF.reshape(shape)
-    interior_max = float(grid_logF.max())
-    bmask = np.zeros(shape, dtype=bool)
-    for dim in range(len(axes)):
-        sl = [slice(None)] * len(axes)
-        sl[dim] = 0
-        bmask[tuple(sl)] = True
-        sl[dim] = -1
-        bmask[tuple(sl)] = True
-    boundary_max = float(grid_logF[bmask].max())
-    return log_z, interior_max, boundary_max, pts.shape[0]
-
-
-def quadrature_log_z(family, X, y, prior, box_halfwidth=12.0, n_nodes_per_dim=32):
-    """Deterministic evidence for d <= 3 by tensor-product Gauss-Legendre
-    quadrature on a mode-centered box, panels split at prior kinks.
-
-    The result is certified by node-doubling agreement below 1e-6; a box
-    whose boundary carries non-negligible integrand mass raises BoxError
-    with a suggested halfwidth.
-    """
-    X = np.asarray(X, dtype=float)
-    d = X.shape[1]
+def _check_quadrature_args(d, box_halfwidth):
     if d > 3:
         raise CapabilityError("tensor quadrature supports d <= 3; use importance_log_z")
     if box_halfwidth < 12:
         raise ConfigError("box_halfwidth must be >= 12 posterior sd units")
+
+
+class QuadratureGrid:
+    """Tensor-product Gauss-Legendre quadrature (d <= 3) on the box
+    centre +- box_halfwidth posterior sd, panels split at prior kinks, for
+    any number of responses on one design.
+
+    In canonical form the log integrand is s'beta + G(beta) + base(y) with
+    s = X'y and G = -A + log prior free of y.  Each node-doubling level
+    stores G and the log weights on its grid once, built when first needed;
+    `log_z(y)` then costs one pass over the grid per level.  Nodes are kept
+    per axis: the linear term is a broadcast outer sum.
+    """
+
+    def __init__(self, family, X, prior, centre, curvature, box_halfwidth=12.0,
+                 n_nodes_per_dim=32):
+        self.X = np.asarray(X, dtype=float)
+        d = self.X.shape[1]
+        _check_quadrature_args(d, box_halfwidth)
+        try:
+            chol = cho_factor(curvature + 1e-12 * np.trace(curvature) / d * np.eye(d))
+        except LinAlgError:
+            raise SingularityError("posterior curvature not positive definite at the centre")
+        sd = np.sqrt(np.diag(cho_solve(chol, np.eye(d))))
+        centre = np.asarray(centre, dtype=float)
+        self.family, self.prior = family, prior
+        self.box_halfwidth = float(box_halfwidth)
+        self.los = centre - box_halfwidth * sd
+        self.his = centre + box_halfwidth * sd
+        self.n_nodes_per_dim = int(n_nodes_per_dim)
+        self._levels = []
+
+    def _level(self, k):
+        """(per-axis nodes, G, log weights) at n_nodes_per_dim * 2^k nodes."""
+        while len(self._levels) <= k:
+            n_nodes = self.n_nodes_per_dim * 2 ** len(self._levels)
+            axes = [_panel_nodes(lo, hi, self.prior.kinks, n_nodes)
+                    for lo, hi in zip(self.los, self.his)]
+            nodes = [a[0] for a in axes]
+            shape = tuple(len(x) for x in nodes)
+            G = np.zeros(shape)
+            logW = np.zeros(shape)
+            for dim, (x, lw) in enumerate(axes):
+                axis_shape = [-1 if j == dim else 1 for j in range(len(shape))]
+                with np.errstate(invalid="ignore"):
+                    G += self.prior.logpdf(x).reshape(axis_shape)
+                logW += lw.reshape(axis_shape)
+            flat_G = G.reshape(-1)
+            chunk = _chunk_points(self.X.shape[0])
+            for start in range(0, flat_G.size, chunk):
+                idx = np.unravel_index(np.arange(start, min(start + chunk, flat_G.size)), shape)
+                points = np.stack([x[i] for x, i in zip(nodes, idx)], axis=-1)
+                flat_G[start:start + chunk] -= _cumulant_sum(self.family, self.X, points)
+            self._levels.append((nodes, G, logW))
+        return self._levels[k]
+
+    def _level_log_z(self, k, s, base):
+        """log integral at level k; returns (log_z, max of the log integrand
+        on its box boundary minus its overall max, number of nodes)."""
+        nodes, G, logW = self._level(k)
+        logF = G + base
+        for dim, x in enumerate(nodes):
+            logF += (s[dim] * x).reshape([-1 if j == dim else 1 for j in range(G.ndim)])
+        top = float(logF.max())
+        boundary = max(float(logF[(slice(None),) * dim + (end,)].max())
+                       for dim in range(G.ndim) for end in (0, -1))
+        logF += logW
+        m = float(logF.max())
+        if not np.isfinite(m):
+            return m, boundary - top, G.size
+        logF -= m
+        np.exp(logF, out=logF)
+        return m + float(np.log(logF.sum())), boundary - top, G.size
+
+    def log_z(self, y):
+        """Evidence for response y, certified by node-doubling agreement
+        below 1e-6; a box whose boundary carries non-negligible integrand
+        mass raises BoxError with a suggested halfwidth."""
+        y = np.asarray(y, dtype=float)
+        s = self.X.T @ y
+        base = self.family.log_base_measure(y)
+        prev, _, total_evals = self._level_log_z(0, s, base)
+        for k in range(1, 4):
+            cur, boundary_gap, evals = self._level_log_z(k, s, base)
+            total_evals += evals
+            if abs(cur - prev) < _QUAD_TOL:
+                if boundary_gap > _BOUNDARY_LOG_TOL:
+                    raise BoxError(
+                        f"integrand mass on the box boundary (log gap "
+                        f"{boundary_gap:.2f}); enlarge the box",
+                        suggested_halfwidth=1.5 * self.box_halfwidth)
+                return EvidenceEstimate(log_z=float(cur), standard_error=0.0,
+                                        method="quadrature", n_evals=total_evals)
+            prev = cur
+        raise ReliabilityError(
+            f"quadrature failed to certify {_QUAD_TOL:g} agreement after node doubling")
+
+
+def quadrature_log_z(family, X, y, prior, box_halfwidth=12.0, n_nodes_per_dim=32):
+    """Deterministic evidence for d <= 3 by tensor-product Gauss-Legendre
+    quadrature on a box centred at this response's posterior mode; see
+    QuadratureGrid for the certificate.  To integrate many responses on one
+    design, build one QuadratureGrid and call its `log_z`.
+    """
+    X = np.asarray(X, dtype=float)
+    _check_quadrature_args(X.shape[1], box_halfwidth)
     mode, curv = posterior_mode(family, X, y, prior)
-    try:
-        chol = cho_factor(curv + 1e-12 * np.trace(curv) / d * np.eye(d))
-    except LinAlgError:
-        raise SingularityError("posterior curvature not positive definite at the mode")
-    sd = np.sqrt(np.diag(cho_solve(chol, np.eye(d))))
-    los = mode - box_halfwidth * sd
-    his = mode + box_halfwidth * sd
-    logf = log_posterior_unnorm(family, X, y, prior)
-
-    def level(n_nodes):
-        axes = [_panel_nodes(lo, hi, prior.kinks, n_nodes) for lo, hi in zip(los, his)]
-        return _tensor_logz(logf, axes)
-
-    total_evals = 0
-    n_nodes = int(n_nodes_per_dim)
-    prev, interior_max, boundary_max, k = level(n_nodes)
-    total_evals += k
-    for _ in range(3):
-        n_nodes *= 2
-        cur, interior_max, boundary_max, k = level(n_nodes)
-        total_evals += k
-        if abs(cur - prev) < _QUAD_TOL:
-            if boundary_max - interior_max > _BOUNDARY_LOG_TOL:
-                raise BoxError(
-                    f"integrand mass on the box boundary (log gap "
-                    f"{boundary_max - interior_max:.2f}); enlarge the box",
-                    suggested_halfwidth=1.5 * box_halfwidth)
-            return EvidenceEstimate(log_z=float(cur), standard_error=0.0,
-                                    method="quadrature", n_evals=total_evals)
-        prev = cur
-    raise ReliabilityError(
-        f"quadrature failed to certify {_QUAD_TOL:g} agreement after node doubling")
+    grid = QuadratureGrid(family, X, prior, mode, curv, box_halfwidth, n_nodes_per_dim)
+    return grid.log_z(y)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq, minimize
 from scipy.special import gammaln
 
 from .errors import ConfigError, DomainError
@@ -174,6 +173,7 @@ def _min_l1_on_ball(m, rho):
         return 0.0
     # find t with sum min(|m_j|, t)^2 = rho^2; decreasing each |m_j| by
     # min(|m_j|, t) is the steepest l1 descent per unit of l2 budget
+    from scipy.optimize import brentq  # deferred: scipy.optimize is slow to import
     f = lambda t: float(np.sum(np.minimum(am, t) ** 2) - rho * rho)
     t_star = brentq(f, 0.0, float(am.max()), xtol=1e-15, rtol=1e-15)
     return float(np.sum(am - np.minimum(am, t_star)))
@@ -251,6 +251,7 @@ def _conservative_extremes(prior, ell):
 
 
 def _numeric_extremes(prior, ell, tol=1e-8):
+    from scipy.optimize import minimize  # deferred: scipy.optimize is slow to import
     if prior.kind == "uniform-box":
         _require_box_support(prior, ell)
         v = ell.d * prior.log_normalizer

@@ -20,9 +20,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 from scipy.linalg import cho_factor, LinAlgError
-from scipy.stats import chi2
+from scipy.special import chdtr
 
 from .errors import ConfigError, DomainError, SingularityError
 
@@ -73,6 +72,7 @@ def _imhof_qawf(lams, t):
         Ic = Int g_c(u) cos(wu) du,  g_c = sin(A)/(u rho),
         Is = Int q(u)  sin(wu) du,  q  = (cos(A)/rho - 1)/u.
     """
+    from scipy import integrate  # deferred: scipy.integrate is slow to import
     omega = t / 2.0
     half_sum = lams.sum() / 2.0
 
@@ -143,7 +143,7 @@ def _ruben_series(lams, t, tol=1e-9, max_terms=20_000, block=512):
             a[k] = (0.5 / k) * float(np.dot(g[:k], a[k - 1::-1]))
             total += a[k]
         ks = np.arange(k_done, hi)
-        F = chi2.cdf(x, df=m + 2 * ks)
+        F = chdtr(m + 2 * ks, x)
         p += float(np.dot(a[k_done:hi], F))
         k_done = hi
         resid = max(0.0, 1.0 - total)
@@ -200,10 +200,10 @@ def prob_ball(M, t, method="eigen-series", n_draws=10**6, seed=0):
 
     # exact shortcut: equal weights reduce to a plain chi-square
     if lams.max() - lams.min() <= 1e-12 * lams.max():
-        return ProbResult(p=float(chi2.cdf(t / lams.mean(), df=m)),
+        return ProbResult(p=float(chdtr(m, t / lams.mean())),
                           standard_error=0.0, method="eigen-series")
     if m == 1:
-        return ProbResult(p=float(chi2.cdf(t / lams[0], df=1)),
+        return ProbResult(p=float(chdtr(1, t / lams[0])),
                           standard_error=0.0, method="eigen-series")
 
     # tail clamps: avoid asking the series/integral for 1 - 1e-16

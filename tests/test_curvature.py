@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+import evbounds.curvature as curvature_mod
 from evbounds import (
     ConfigError,
     Ellipsoid,
+    NumericalError,
     SingularityError,
     certificate,
     check_assumption1,
@@ -222,3 +224,18 @@ def test_assumption1_reports_c_breach_on_wide_ellipsoid():
     assert not rep.c_constraint_ok
     # the two-sided inequality itself is still certified (u/v are exact)
     assert rep.ok
+
+
+def test_assumption1_cross_check_raises_on_disagreement(monkeypatch):
+    # the scalar KL routine spot-checks the vectorized sweep; a disagreement
+    # must raise even under python -O, which strips assert statements
+    X = make_design(40, 2, "uniform", seed=10)
+    m = X @ np.array([0.4, -0.2])
+    fit = solve_pseudo_true(GAU, X, m)
+    ell = default_ellipsoid(fit.beta_star, 40)
+    cert = certificate(GAU, X, ell)
+    real = curvature_mod.kl_gap
+    monkeypatch.setattr(curvature_mod, "kl_gap",
+                        lambda *args: real(*args) + 1e-3)
+    with pytest.raises(NumericalError):
+        check_assumption1(GAU, X, m, fit, cert, ell, n_samples=50, seed=11)

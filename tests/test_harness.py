@@ -1,6 +1,8 @@
 """Experiment harness: config plumbing, coverage accounting, scans, CLI."""
 
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -164,6 +166,63 @@ def test_coverage_csv_deterministic_and_job_invariant(tmp_path):
     blob = paths[0].read_bytes()
     assert paths[1].read_bytes() == blob
     assert p2.read_bytes() == blob
+
+
+def _quadrature_flat(**extra):
+    flat = {
+        "family": "logistic",
+        "mechanism": "glm-well-specified",
+        "mechanism.beta0": [0.8, -0.5],
+        "design": "uniform",
+        "n": 100,
+        "d": 2,
+        "prior": "gaussian-product",
+        "prior.tau_p": 3.0,
+        "oracle": "quadrature",
+        "calib_reps": 100,
+        "n_replicates": 12,
+        "master_seed": 2,
+    }
+    flat.update(extra)
+    return flat
+
+
+def test_coverage_shared_quadrature_grid_job_invariant():
+    one = run_coverage(ExperimentConfig.from_flat(_quadrature_flat()))
+    two = run_coverage(ExperimentConfig.from_flat(_quadrature_flat(jobs=2)))
+    assert one.n_failures == 0
+    assert two.rows == one.rows
+
+
+def test_coverage_without_shared_grid_when_centre_curvature_is_singular():
+    # a tight Cauchy prior far below beta* makes the log target convex at
+    # beta*, so no shared box can be scaled there; the study still runs,
+    # each replicate on a box at its own posterior mode
+    flat = _quadrature_flat(**{"mechanism.beta0": [3.0], "n": 4, "d": 1,
+                               "prior": "student-product", "prior.nu": 1.0,
+                               "prior.s": 0.05, "n_replicates": 4, "master_seed": 1})
+    del flat["prior.tau_p"]
+    cfg = ExperimentConfig.from_flat(flat)
+    assert harness_mod._coverage_context(cfg).quad_grid is None
+    rep = run_coverage(cfg)
+    assert rep.n_sandwich_hits + rep.n_misses + rep.n_failures == 4
+
+
+def test_coverage_keeps_no_context_alive(monkeypatch):
+    # a study's context (with its quadrature levels) dies with the study
+    refs = []
+    real = harness_mod._coverage_context
+
+    def recording(config):
+        ctx = real(config)
+        refs.append(weakref.ref(ctx))
+        return ctx
+
+    monkeypatch.setattr(harness_mod, "_coverage_context", recording)
+    rep = run_coverage(ExperimentConfig.from_flat(_quadrature_flat(n_replicates=3)))
+    assert rep.n_failures == 0 and len(refs) == 1
+    gc.collect()
+    assert refs[0]() is None
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +398,26 @@ def test_cli_exit_code_config_error(tmp_path, capsys):
     path = _write_cfg(tmp_path, _conjugate_flat(bogus=1))
     assert main(["bounds", "--config", path]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_cli_exit_code_config_error_missing_file(tmp_path, capsys):
+    path = str(tmp_path / "absent.json")
+    assert main(["bounds", "--config", path]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_cli_exit_code_config_error_malformed_json(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"family": "gaussian", "n": ')
+    assert main(["bounds", "--config", str(path)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_cli_exit_code_config_error_wrong_type(tmp_path, capsys):
+    path = _write_cfg(tmp_path, _conjugate_flat(n="abc"))
+    assert main(["bounds", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "'n'" in err
 
 
 def test_cli_exit_code_strict_hypothesis_violation(tmp_path, capsys):

@@ -4,9 +4,14 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import evbounds.harness as harness_mod
 from evbounds import (
+    BoxError,
     CapabilityError,
     ConfigError,
+    ExperimentConfig,
+    NonConvergenceError,
+    QuadratureGrid,
     ReliabilityError,
     conjugate_log_z,
     default_ellipsoid,
@@ -16,10 +21,15 @@ from evbounds import (
     log_density,
     log_likelihood_full,
     log_posterior_unnorm,
+    log_target_curvature,
     posterior_mass,
     posterior_mode,
     quadrature_log_z,
+    replicate_rng,
+    run_coverage,
+    solve_pseudo_true,
 )
+from evbounds.families import _softplus
 
 GAU = get_family("gaussian")
 LOG = get_family("logistic")
@@ -154,6 +164,96 @@ def test_quadrature_flags_heavy_tails_spilling_the_box():
 
 
 # ---------------------------------------------------------------------------
+# quadrature grid shared across responses
+# ---------------------------------------------------------------------------
+
+def _population_grid(family, X, beta0, prior, **kwargs):
+    """Grid centred at the pseudo-true fit, as a coverage study builds it."""
+    centre = solve_pseudo_true(family, X, family.a1(X @ beta0)).beta_star
+    return QuadratureGrid(family, X, prior, centre,
+                          log_target_curvature(family, X, prior, centre), **kwargs)
+
+
+@pytest.mark.parametrize("family, n, beta0, prior", [
+    (LOG, 200, [0.8, -0.5], get_prior("gaussian-product", tau_p=3.0)),
+    (POI, 100, [0.3, -0.2, 0.1], get_prior("laplace-product", kappa=1.0)),
+    (GAU, 80, [0.5, -0.3], get_prior("gaussian-product", tau_p=2.0)),
+])
+def test_shared_grid_matches_mode_centred_quadrature(family, n, beta0, prior):
+    rng = np.random.default_rng(23)
+    beta0 = np.array(beta0)
+    X = rng.uniform(-1, 1, size=(n, len(beta0)))
+    grid = _population_grid(family, X, beta0, prior)
+    mean = family.a1(X @ beta0)
+    for _ in range(3):
+        if family is LOG:
+            y = (rng.random(n) < mean).astype(float)
+        elif family is POI:
+            y = rng.poisson(mean).astype(float)
+        else:
+            y = mean + rng.standard_normal(n)
+        shared = grid.log_z(y)
+        own = quadrature_log_z(family, X, y, prior)
+        assert shared.method == "quadrature" and shared.standard_error == 0.0
+        assert abs(shared.log_z - own.log_z) < 1e-9
+        if family is GAU:
+            exact = conjugate_log_z(X, y, sigma=1.0, tau_p=prior.params["tau_p"])
+            assert abs(shared.log_z - exact.log_z) < 1e-9
+
+
+LOGISTIC_STUDY = {
+    "family": "logistic", "mechanism": "glm-well-specified",
+    "mechanism.beta0": [0.8, -0.5], "design": "uniform", "n": 200, "d": 2,
+    "prior": "gaussian-product", "prior.tau_p": 3.0, "oracle": "quadrature",
+    "calib_reps": 400, "n_replicates": 24, "master_seed": 7,
+}
+
+POISSON_STUDY = {
+    "family": "poisson", "mechanism": "glm-well-specified",
+    "mechanism.beta0": [0.3, -0.2, 0.1], "design": "uniform", "n": 400, "d": 3,
+    "c1": 2.0, "prior": "laplace-product", "prior.kappa": 1.0,
+    "oracle": "quadrature", "calib_reps": 400, "n_replicates": 1,
+    "master_seed": 14048,
+}
+
+
+def _study_response(ctx, replicate):
+    return ctx.mechanism.draw(ctx.X, replicate_rng(ctx.config.master_seed, replicate))
+
+
+def test_coverage_replicate_falls_back_to_its_own_grid():
+    # replicate 23 of the acceptance logistic study puts integrand mass on
+    # the shared box's boundary; the study must integrate it on a box
+    # centred at its own mode instead of failing it
+    cfg = ExperimentConfig.from_flat(LOGISTIC_STUDY)
+    ctx = harness_mod._coverage_context(cfg)
+    y = _study_response(ctx, 23)
+    with pytest.raises(BoxError):
+        ctx.quad_grid.log_z(y)
+    own = quadrature_log_z(ctx.family, ctx.X, y, ctx.prior)
+    row = run_coverage(cfg).rows[23]
+    assert row["failed"] == 0
+    assert row["oracle_log_z"] == own.log_z
+
+
+def test_coverage_replicate_no_longer_needs_the_posterior_mode():
+    # on this dataset the mode search stalls at the laplace prior's kink;
+    # the shared grid needs no mode, and a wider shared box agrees
+    cfg = ExperimentConfig.from_flat(POISSON_STUDY)
+    ctx = harness_mod._coverage_context(cfg)
+    y = _study_response(ctx, 0)
+    with pytest.raises(NonConvergenceError):
+        posterior_mode(ctx.family, ctx.X, y, ctx.prior)
+    row = run_coverage(cfg).rows[0]
+    assert row["failed"] == 0
+    centre = ctx.fit.beta_star
+    wide = QuadratureGrid(ctx.family, ctx.X, ctx.prior, centre,
+                          log_target_curvature(ctx.family, ctx.X, ctx.prior, centre),
+                          box_halfwidth=16.0)
+    assert abs(row["oracle_log_z"] - wide.log_z(y).log_z) < 1e-6
+
+
+# ---------------------------------------------------------------------------
 # importance sampling
 # ---------------------------------------------------------------------------
 
@@ -268,3 +368,34 @@ def test_log_posterior_unnorm_matches_direct_sum():
     for k in range(5):
         direct = log_likelihood_full(POI, X, y, pts[k]) + log_density(prior, pts[k])
         assert abs(vals[k] - direct) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# logistic cumulant kernel
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_softplus_matches_logaddexp(dtype):
+    t = np.concatenate([np.linspace(-800.0, 800.0, 40_001),
+                        [0.0, -0.0, 1e-300, -1e-300, 36.0, -36.0, 710.0, -745.0]])
+    t = t.astype(dtype)
+    before = t.copy()
+    got = _softplus(t)
+    want = np.logaddexp(dtype(0), t)
+    assert got.dtype == dtype
+    assert np.array_equal(t, before)  # argument not mutated
+    ulps = np.abs(got - want) / np.spacing(np.maximum(np.abs(want), np.finfo(dtype).tiny))
+    assert ulps.max() <= 4
+    assert 0.0 <= got[0] <= np.exp(dtype(-799)) and got[40_000] == dtype(800)  # -+800
+    assert abs(got[20_000] - np.log(dtype(2))) <= np.spacing(np.log(dtype(2)))
+    zero_d = np.asarray(dtype(0.5))
+    assert np.ndim(_softplus(zero_d)) == 0
+    assert abs(_softplus(zero_d) - np.logaddexp(dtype(0), zero_d)) <= 4 * np.spacing(dtype(1))
+
+
+def test_softplus_shapes_and_layouts():
+    rng = np.random.default_rng(24)
+    T = rng.normal(scale=30.0, size=(300, 70)).T   # non-contiguous input
+    assert np.allclose(_softplus(T), np.logaddexp(0.0, T), rtol=1e-15, atol=0)
+    assert _softplus(np.empty((0, 3))).shape == (0, 3)
+    assert np.array_equal(_softplus(np.array([np.inf, -np.inf])), [np.inf, 0.0])
