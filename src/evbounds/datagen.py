@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .errors import ConfigError, DomainError
-from .families import get_family
+from .families import TailBound, get_family
 
 
 # ---------------------------------------------------------------------------
@@ -92,42 +92,29 @@ def make_design(n, d, kind, seed=0):
 
 
 # ---------------------------------------------------------------------------
-# tail bounds
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TailBound:
-    """Certified residual tail: either sub-Gaussian with parameter tau, or
-    sub-exponential with (nu, gbar) valid in E exp(s(y-Ey)) <= exp(s^2 nu^2/2)
-    for |s| <= 1/g_i, gbar = max_i g_i."""
-
-    kind: str  # "subgaussian" | "subexponential"
-    tau: float | None = None
-    nu: float | None = None
-    gbar: float | None = None
-
-
-# ---------------------------------------------------------------------------
 # mechanisms
 # ---------------------------------------------------------------------------
 
 class Mechanism:
-    """A data-generating truth: analytic mean, sampler, certified tail.
+    """A data-generating truth: an analytic mean vector plus a residual law
+    (sampler and certified tail).
 
     The sampler and the tail certificate are functions of the mean vector
     alone, so a mechanism can also drive pipelines whose design differs
-    from the one that generated the mean (submodel comparisons)."""
+    from the one that generated the mean (submodel comparisons).  By
+    default the residual law is that of the GlmFamily `response`."""
 
     name = "base"
+    response = None
 
     def mean(self, X):
         raise NotImplementedError
 
     def draw_from_mean(self, m, rng):
-        raise NotImplementedError
+        return self.response.sample(m, rng)
 
     def tail_from_mean(self, m):
-        raise NotImplementedError
+        return self.response.tail(m)
 
     def draw(self, X, rng):
         return self.draw_from_mean(self.mean(X), rng)
@@ -140,32 +127,12 @@ class GlmTruth(Mechanism):
     """Well-specified canonical GLM truth with parameter beta0."""
 
     def __init__(self, family, beta0):
-        self.family = get_family(family) if isinstance(family, str) else family
+        self.response = get_family(family) if isinstance(family, str) else family
         self.beta0 = np.asarray(beta0, dtype=float)
-        self.name = f"glm-well-specified({self.family.name})"
+        self.name = f"glm-well-specified({self.response.name})"
 
     def mean(self, X):
-        return np.asarray(self.family.a1(X @ self.beta0), dtype=float)
-
-    def draw_from_mean(self, m, rng):
-        if self.family.name == "gaussian":
-            return m + rng.standard_normal(len(m))
-        if self.family.name == "logistic":
-            return (rng.random(len(m)) < m).astype(float)
-        if self.family.name == "poisson":
-            return rng.poisson(m).astype(float)
-        raise ConfigError(f"no sampler for family {self.family.name!r}")
-
-    def tail_from_mean(self, m):
-        if self.family.name == "gaussian":
-            return TailBound("subgaussian", tau=1.0)
-        if self.family.name == "logistic":
-            # bounded in [0,1]: Hoeffding tau = (b-a)/2
-            return TailBound("subgaussian", tau=0.5)
-        if self.family.name == "poisson":
-            # Bernstein: log MGF of y-m is m(e^s - 1 - s) <= s^2 m for |s| <= 3/2
-            return TailBound("subexponential", nu=float(np.sqrt(2 * m.max())), gbar=2.0 / 3.0)
-        raise ConfigError(f"no tail bound for family {self.family.name!r}")
+        return np.asarray(self.response.a1(X @ self.beta0), dtype=float)
 
 
 class ProbitTruth(Mechanism):
@@ -175,15 +142,10 @@ class ProbitTruth(Mechanism):
 
     def __init__(self, beta0):
         self.beta0 = np.asarray(beta0, dtype=float)
+        self.response = get_family("logistic")  # Bernoulli responses
 
     def mean(self, X):
         return ndtr(X @ self.beta0)
-
-    def draw_from_mean(self, m, rng):
-        return (rng.random(len(m)) < m).astype(float)
-
-    def tail_from_mean(self, m):
-        return TailBound("subgaussian", tau=0.5)
 
 
 class NegBinTruth(Mechanism):
@@ -249,16 +211,16 @@ class HeteroGaussian(Mechanism):
 
 
 def get_mechanism(name, **params):
-    """Resolve a mechanism identifier plus parameters to a Mechanism."""
-    if name == "glm-well-specified":
-        return GlmTruth(params["family"], params["beta0"])
-    if name == "probit-truth":
-        return ProbitTruth(params["beta0"])
-    if name == "negbin-truth":
-        return NegBinTruth(params["beta0"], params["size"])
-    if name == "hetero-gaussian":
-        return HeteroGaussian(params["beta0"], params["sigmas"])
-    raise ConfigError(f"unknown mechanism {name!r}")
+    """Resolve a mechanism identifier plus parameters to a Mechanism; a
+    missing, unknown or wrongly typed parameter is a ConfigError."""
+    cls = {"glm-well-specified": GlmTruth, "probit-truth": ProbitTruth,
+           "negbin-truth": NegBinTruth, "hetero-gaussian": HeteroGaussian}.get(name)
+    if cls is None:
+        raise ConfigError(f"unknown mechanism {name!r}")
+    try:
+        return cls(**params)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad parameters for mechanism {name!r}: {exc}")
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,10 @@ derivatives, a certified lower-rate function r for the local expansion
 
 the coefficients (r1, r2) of the small-increment envelope
 r(h) >= h^2 / (r1 + r2 * h), exact per-interval extremes of a'' (used by the
-curvature certificates), and the base-measure term that upgrades the
+curvature certificates), the base-measure term that upgrades the
 canonical log-likelihood to a full log-density (needed when comparing
-against closed-form evidence).
+against closed-form evidence), and the family's response law: a sampler,
+a certified residual tail and the response domain.
 
 All callables are dtype-preserving numpy ufunc compositions so the grid
 certification can run in extended precision.
@@ -25,6 +26,18 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import DomainError
+
+
+@dataclass(frozen=True)
+class TailBound:
+    """Certified residual tail: either sub-Gaussian with parameter tau, or
+    sub-exponential with (nu, gbar) valid in E exp(s(y-Ey)) <= exp(s^2 nu^2/2)
+    for |s| <= 1/g_i, gbar = max_i g_i."""
+
+    kind: str  # "subgaussian" | "subexponential"
+    tau: float | None = None
+    nu: float | None = None
+    gbar: float | None = None
 
 
 def _sigmoid(t):
@@ -84,6 +97,9 @@ class GlmFamily:
     a2_extremes : (lo, hi) arrays -> (min, max) of a'' over each [lo_i, hi_i]
     log_base_measure : y -> sum of log h(y_i); canonical + this = full density
     mean_ok : elementwise predicate for means in the family's open range
+    sample : (mean vector, rng) -> responses drawn from the family at that mean
+    tail : mean vector -> TailBound certified for the residuals y - mean
+    response_domain : (lo, hi), the closed range every response lies in
     linpred_cap : if set, line searches reject |x'beta| beyond this (overflow
         guard for exp-type cumulants)
     """
@@ -97,6 +113,9 @@ class GlmFamily:
     a2_extremes: Callable
     log_base_measure: Callable
     mean_ok: Callable
+    sample: Callable
+    tail: Callable
+    response_domain: tuple
     linpred_cap: float | None = None
 
 
@@ -128,6 +147,9 @@ def gaussian_family():
             -0.5 * np.sum(np.asarray(y, dtype=float) ** 2)
             - 0.5 * len(np.atleast_1d(y)) * np.log(2 * np.pi)),
         mean_ok=lambda m: np.isfinite(m),
+        sample=lambda m, rng: m + rng.standard_normal(len(m)),
+        tail=lambda m: TailBound("subgaussian", tau=1.0),
+        response_domain=(-np.inf, np.inf),
     )
 
 
@@ -142,6 +164,10 @@ def logistic_family():
         a2_extremes=_logistic_a2_extremes,
         log_base_measure=lambda y: 0.0,
         mean_ok=lambda m: (np.asarray(m) > 0) & (np.asarray(m) < 1),
+        sample=lambda m, rng: (rng.random(len(m)) < m).astype(float),
+        # bounded in [0,1]: Hoeffding tau = (b-a)/2
+        tail=lambda m: TailBound("subgaussian", tau=0.5),
+        response_domain=(0.0, 1.0),
     )
 
 
@@ -157,6 +183,11 @@ def poisson_family():
                                     np.exp(np.asarray(hi, dtype=float))),
         log_base_measure=lambda y: float(-np.sum(gammaln(np.asarray(y, dtype=float) + 1))),
         mean_ok=lambda m: np.asarray(m) > 0,
+        sample=lambda m, rng: rng.poisson(m).astype(float),
+        # Bernstein: log MGF of y-m is m(e^s - 1 - s) <= s^2 m for |s| <= 3/2
+        tail=lambda m: TailBound("subexponential", nu=float(np.sqrt(2 * m.max())),
+                                 gbar=2.0 / 3.0),
+        response_domain=(0.0, np.inf),
         linpred_cap=50.0,
     )
 
@@ -235,10 +266,9 @@ def _check_response(family, y):
     y = np.asarray(y, dtype=float)
     if not np.all(np.isfinite(y)):
         raise DomainError("non-finite response value")
-    if family.name == "logistic" and (np.any(y < 0) or np.any(y > 1)):
-        raise DomainError("logistic response must lie in [0, 1]")
-    if family.name == "poisson" and np.any(y < 0):
-        raise DomainError("poisson response must be >= 0")
+    lo, hi = family.response_domain
+    if np.any(y < lo) or np.any(y > hi):
+        raise DomainError(f"{family.name} response must lie in [{lo:g}, {hi:g}]")
     return y
 
 

@@ -16,6 +16,7 @@ import multiprocessing
 import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -162,6 +163,10 @@ def load_config(path):
 
 @dataclass
 class PipelineContext:
+    """The replicate-invariant objects of one pipeline (see build_context).
+    The stages after the ellipsoid are built when first read, so a caller
+    pays only for the stages it uses."""
+
     config: ExperimentConfig
     n: int
     d: int
@@ -171,12 +176,47 @@ class PipelineContext:
     true_mean: np.ndarray
     fit: object
     ell: object
-    cert: object
-    prior: object
-    prior_ext: tuple
-    proc: object
-    base_report: object  # bounds at loglik = 0; per-replicate bounds are shifts
     quad_grid: object = None  # quadrature grid shared by a coverage study's replicates
+
+    @cached_property
+    def cert(self):
+        return certificate(self.family, self.X, self.ell)
+
+    @cached_property
+    def prior(self):
+        return get_prior(self.config.prior, **self.config.prior_params)
+
+    @cached_property
+    def prior_ext(self):
+        return extremes_over_ball(self.prior, self.ell, self.config.prior_extremes)
+
+    @cached_property
+    def proc(self):
+        """Process constants for residuals drawn around true_mean."""
+        config, n, d = self.config, self.n, self.d
+        if config.c_source == "empirical-quantile":
+            seed = derive_seed(config.master_seed, "calibration", n, d)
+            return calibrate_C(self.mechanism, self.X, self.ell, config.calib_reps,
+                               config.delta_tilde, seed=seed, mean=self.true_mean)
+        tail = self.mechanism.tail_from_mean(self.true_mean)
+        if config.c_source == "subgaussian-theory":
+            if tail.kind != "subgaussian" or tail.tau is None:
+                raise ConfigError(
+                    f"mechanism {self.mechanism.name!r} has no finite sub-Gaussian "
+                    "parameter; use c_source subexponential-theory")
+            return theoretical_C("subgaussian", tail.tau, self.X, d, n, self.ell.R,
+                                 k0=config.k0)
+        if config.c_source == "subexponential-theory":
+            gbar = tail.gbar if tail.kind == "subexponential" else 0.0
+            nu = tail.nu if (tail.kind == "subexponential" and tail.nu is not None) else config.nu
+            return theoretical_C("subexponential", gbar, self.X, d, n, self.ell.R, nu=nu)
+        raise ConfigError(f"unknown c_source {config.c_source!r}")
+
+    @cached_property
+    def base_report(self):
+        """Bounds at loglik = 0; per-replicate bounds are shifts."""
+        return compute_bounds(self.fit, 0.0, self.cert, self.proc, self.prior_ext, self.ell,
+                              eta=self.config.eta, delta=self.config.delta)
 
 
 def _build_mechanism(config, d):
@@ -185,54 +225,36 @@ def _build_mechanism(config, d):
         params.setdefault("family", config.family)
     scale = params.pop("beta0_scale", None)
     if "beta0" not in params and scale is not None:
-        params["beta0"] = (float(scale) / np.sqrt(d)) * np.ones(d)
-    if "beta0" in params:
-        params["beta0"] = np.asarray(params["beta0"], dtype=float)
-        if len(params["beta0"]) != d:
-            raise ConfigError(f"beta0 length {len(params['beta0'])} != d = {d}")
-    return get_mechanism(config.mechanism, **params)
+        try:
+            params["beta0"] = (float(scale) / np.sqrt(d)) * np.ones(d)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad mechanism parameter beta0_scale: {exc}")
+    mech = get_mechanism(config.mechanism, **params)  # converts beta0
+    if np.shape(mech.beta0) != (d,):
+        raise ConfigError(f"beta0 shape {np.shape(mech.beta0)} != (d,) = ({d},)")
+    return mech
 
 
-def _build_process_constants(config, mech, X, ell, n, d):
-    if config.c_source == "empirical-quantile":
-        seed = derive_seed(config.master_seed, "calibration", n, d)
-        return calibrate_C(mech, X, ell, config.calib_reps, config.delta_tilde, seed=seed)
-    tail = mech.tail(X)
-    if config.c_source == "subgaussian-theory":
-        if tail.kind != "subgaussian" or tail.tau is None:
-            raise ConfigError(
-                f"mechanism {mech.name!r} has no finite sub-Gaussian parameter; "
-                "use c_source subexponential-theory")
-        return theoretical_C("subgaussian", tail.tau, X, d, n, ell.R, k0=config.k0)
-    if config.c_source == "subexponential-theory":
-        gbar = tail.gbar if tail.kind == "subexponential" else 0.0
-        nu = tail.nu if (tail.kind == "subexponential" and tail.nu is not None) else config.nu
-        return theoretical_C("subexponential", gbar, X, d, n, ell.R, nu=nu)
-    raise ConfigError(f"unknown c_source {config.c_source!r}")
-
-
-def build_context(config, n=None, d=None):
-    """Build every replicate-invariant object once: design, truth, fit,
-    localization set, curvature certificate, prior extremes, process
-    constants, and the zero-anchored bounds decomposition."""
+def build_context(config, n=None, d=None, columns=None):
+    """The one pipeline builder: design, truth, true mean, pseudo-true fit
+    and localization ellipsoid at n (default config.n) and d (default from
+    the config); the certificate, prior, prior extremes, process constants
+    and zero-anchored report when first read (see PipelineContext).  With
+    `columns` the model is fitted on those design columns while the truth
+    generates from the whole design (a submodel)."""
     n = int(n if n is not None else config.n)
     d = int(d if d is not None else config.resolve_d(n))
-    family = get_family(config.family)
     X = make_design(n, d, config.design, seed=derive_seed(config.master_seed, "design", n, d))
     mech = _build_mechanism(config, d)
     true_mean = mech.mean(X)
+    if columns is not None:
+        X = X[:, [int(c) for c in columns]]
+        d = X.shape[1]
+    family = get_family(config.family)
     fit = solve_pseudo_true(family, X, true_mean)
     ell = default_ellipsoid(fit.beta_star, n, config.c1)
-    cert = certificate(family, X, ell)
-    prior = get_prior(config.prior, **config.prior_params)
-    prior_ext = extremes_over_ball(prior, ell, config.prior_extremes)
-    proc = _build_process_constants(config, mech, X, ell, n, d)
-    base_report = compute_bounds(fit, 0.0, cert, proc, prior_ext, ell,
-                                 eta=config.eta, delta=config.delta)
-    return PipelineContext(config=config, n=n, d=d, family=family, X=X,
-                           mechanism=mech, true_mean=true_mean, fit=fit, ell=ell,
-                           cert=cert, prior=prior, prior_ext=prior_ext, proc=proc,
-                           base_report=base_report)
+    return PipelineContext(config=config, n=n, d=d, family=family, X=X, mechanism=mech,
+                           true_mean=true_mean, fit=fit, ell=ell)
 
 
 def _resolve_oracle(config, d):
@@ -368,18 +390,7 @@ class CoverageReport:
     validity: dict
 
     def summary(self):
-        return {
-            "n_replicates": self.n_replicates,
-            "n_sandwich_hits": self.n_sandwich_hits,
-            "n_misses": self.n_misses,
-            "n_failures": self.n_failures,
-            "hit_rate": self.hit_rate,
-            "guaranteed_rate": self.guaranteed_rate,
-            "mean_width": self.mean_width,
-            "mean_width_per_d": self.mean_width_per_d,
-            "constants": self.constants,
-            "validity": self.validity,
-        }
+        return {k: v for k, v in vars(self).items() if k not in ("config", "rows")}
 
     def write_csv(self, path):
         _write_csv(path, _COVERAGE_COLUMNS, self.rows)
@@ -409,6 +420,7 @@ def run_coverage(config):
     from misses; n_replicates = hits + misses + failures always.
     """
     ctx = _coverage_context(config)
+    base = ctx.base_report  # builds every stage, so a bad config fails before the pool
     reps = range(config.n_replicates)
     if config.jobs > 1:
         flat_json = json.dumps(config.to_flat(), sort_keys=True)
@@ -430,8 +442,7 @@ def run_coverage(config):
         hit_rate=hits / config.n_replicates,
         guaranteed_rate=1.0 - config.delta - ctx.proc.delta_tilde,
         mean_width=mean_width, mean_width_per_d=mean_width / ctx.d,
-        constants=dict(ctx.base_report.constants),
-        validity=dict(ctx.base_report.validity))
+        constants=dict(base.constants), validity=dict(base.validity))
 
 
 # ---------------------------------------------------------------------------
@@ -528,22 +539,15 @@ def run_concentration(config):
         raise ConfigError("concentration study needs n_grid")
     rows, per_n = [], []
     for n in grid:
-        d = config.resolve_d(n)
-        family = get_family(config.family)
-        X = make_design(n, d, config.design,
-                        seed=derive_seed(config.master_seed, "design", n, d))
-        mech = _build_mechanism(config, d)
-        true_mean = mech.mean(X)
-        fit = solve_pseudo_true(family, X, true_mean)
-        ell = default_ellipsoid(fit.beta_star, n, config.c1)
+        ctx = build_context(config, n=n)
         gammas, ess_ok_count = [], 0
         for r in range(config.n_replicates):
             rng = derive_rng(config.master_seed, "concentration", n, r)
-            y = mech.draw(X, rng)
-            row = {"n": n, "d": d, "replicate": r, "gamma": math.nan,
+            y = ctx.mechanism.draw(ctx.X, rng)
+            row = {"n": n, "d": ctx.d, "replicate": r, "gamma": math.nan,
                    "gamma_se": math.nan, "ess_ok": 0, "fail_reason": ""}
             try:
-                mass = posterior_mass(family, X, y, prior, ell,
+                mass = posterior_mass(ctx.family, ctx.X, y, prior, ctx.ell,
                                       n_draws=config.n_draws,
                                       seed=derive_seed(config.master_seed,
                                                        "concentration-draws", n, r))
@@ -555,7 +559,7 @@ def run_concentration(config):
             rows.append(row)
         threshold = 1.0 - config.eta
         frac = sum(g >= threshold for g in gammas) / config.n_replicates
-        per_n.append({"n": n, "d": d, "frac_concentrated": frac,
+        per_n.append({"n": n, "d": ctx.d, "frac_concentrated": frac,
                       "ess_ok_frac": ess_ok_count / config.n_replicates,
                       "mean_gamma": float(np.mean(gammas)) if gammas else math.nan})
     fracs = [p["frac_concentrated"] for p in per_n]
@@ -595,12 +599,11 @@ def run_model_compare(config):
     """
     if not config.candidates:
         raise ConfigError("model comparison needs a candidates list")
-    d_full = config.resolve_d(config.n)
-    X_full = make_design(config.n, d_full, config.design,
-                         seed=derive_seed(config.master_seed, "design", config.n, d_full))
-    mech = _build_mechanism(config, d_full)
-    y = mech.draw(X_full, derive_rng(config.master_seed, "compare"))
-    true_mean = mech.mean(X_full)
+    base = build_context(config)
+    y = base.mechanism.draw(base.X, derive_rng(config.master_seed, "compare"))
+    # a candidate may refit with another family; the truth stays the base one
+    truth = {"family": config.family} if config.mechanism == "glm-well-specified" else {}
+    mechanism_params = {**truth, **config.mechanism_params}
 
     rows = []
     for cand in config.candidates:
@@ -619,29 +622,19 @@ def run_model_compare(config):
                 overrides[key] = value
             else:
                 raise ConfigError(f"unknown candidate key {key!r}")
-        sub = replace(config, prior_params=prior_params, **overrides)
-        cols = list(range(d_full)) if cols is None else [int(c) for c in cols]
-        X = X_full[:, cols]
-        d = len(cols)
-        family = get_family(sub.family)
-        fit = solve_pseudo_true(family, X, true_mean)
-        ell = default_ellipsoid(fit.beta_star, sub.n, sub.c1)
-        cert = certificate(family, X, ell)
-        prior = get_prior(sub.prior, **sub.prior_params)
-        prior_ext = extremes_over_ball(prior, ell, sub.prior_extremes)
-        proc = _build_process_constants(sub, mech_for_submodel(mech, true_mean), X, ell, sub.n, d)
-        report = compute_bounds(fit, log_likelihood_full(family, X, y, fit.beta_star),
-                                cert, proc, prior_ext, ell, eta=sub.eta, delta=sub.delta)
-        ctx_like = PipelineContext(config=sub, n=sub.n, d=d, family=family, X=X,
-                                   mechanism=mech, true_mean=true_mean, fit=fit,
-                                   ell=ell, cert=cert, prior=prior,
-                                   prior_ext=prior_ext, proc=proc, base_report=report)
+        sub = replace(config, prior_params=prior_params,
+                      mechanism_params=mechanism_params, **overrides)
+        ctx = build_context(sub, columns=cols)
+        report = compute_bounds(ctx.fit, log_likelihood_full(ctx.family, ctx.X, y,
+                                                             ctx.fit.beta_star),
+                                ctx.cert, ctx.proc, ctx.prior_ext, ctx.ell,
+                                eta=sub.eta, delta=sub.delta)
         try:
-            est = _run_oracle(ctx_like, y, 0)
+            est = _run_oracle(ctx, y, 0)
             oracle, oracle_se = est.log_z, est.standard_error
         except EvboundsError:
             oracle, oracle_se = math.nan, math.nan
-        rows.append({"name": name, "d": d, "lower": report.lower,
+        rows.append({"name": name, "d": ctx.d, "lower": report.lower,
                      "upper": report.upper, "oracle_log_z": oracle,
                      "oracle_se": oracle_se})
 
@@ -657,26 +650,3 @@ def run_model_compare(config):
                     not_certified.append((a["name"], b["name"]))
     return CompareReport(rows=rows, certified=certified, not_certified=not_certified)
 
-
-class _FixedMeanMechanism:
-    """Adapter presenting the base truth to a submodel pipeline: the mean and
-    residual law are those of the data-generating mechanism, whatever design
-    columns the candidate model uses."""
-
-    def __init__(self, mech, true_mean):
-        self._mech = mech
-        self.name = mech.name
-        self._true_mean = true_mean
-
-    def mean(self, X):
-        return self._true_mean
-
-    def draw(self, X, rng):
-        return self._mech.draw_from_mean(self._true_mean, rng)
-
-    def tail(self, X):
-        return self._mech.tail_from_mean(self._true_mean)
-
-
-def mech_for_submodel(mech, true_mean):
-    return _FixedMeanMechanism(mech, true_mean)

@@ -15,8 +15,9 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, LinAlgError
 from scipy.special import gammaln
 
-from .errors import (BoxError, CapabilityError, ConfigError, NonConvergenceError,
-                     ReliabilityError, SingularityError)
+from .errors import (BoxError, CapabilityError, ConfigError, ReliabilityError,
+                     SingularityError)
+from .pseudotrue import _cholesky, newton_ascent
 
 _ESS_FLOOR = 0.05
 _QUAD_TOL = 1e-6
@@ -74,91 +75,34 @@ def log_posterior_unnorm(family, X, y, prior):
 
 def log_target_curvature(family, X, prior, beta):
     """-(Hessian of the log target) at beta: X' diag(a''(X beta)) X plus the
-    prior precision, capped for kinked priors (a uniform box adds none).
+    prior precision, capped for kinked priors.
 
     It does not depend on the response, so one curvature serves every
     dataset drawn on a design.
     """
     t = X @ beta
     curvature = (X * family.a2(t)[:, None]).T @ X
-    if prior.kind != "uniform-box":
-        prior_prec = -prior.d2(beta)
-        if prior.curvature_cap is not None:
-            prior_prec = np.minimum(prior_prec, prior.curvature_cap)
-        curvature = curvature + np.diag(prior_prec)
-    return curvature
+    prior_prec = -prior.d2(beta)
+    if prior.curvature_cap is not None:
+        prior_prec = np.minimum(prior_prec, prior.curvature_cap)
+    return curvature + np.diag(prior_prec)
 
 
 def posterior_mode(family, X, y, prior, tol=None, max_iter=200):
-    """Newton ascent on log-likelihood + log-prior (smoothed at kinks).
+    """Posterior mode by `pseudotrue.newton_ascent` on log-likelihood plus
+    log-prior: a point pinned at a prior kink or a box face is returned.
 
     Returns (mode, curvature) with curvature = -(Hessian of the log target)
-    at the mode, positive definite up to smoothing.  The mode is only a
-    centering device for quadrature boxes and proposals; its tolerance is
-    looser than the pseudo-true solver's.
+    at the mode (`log_target_curvature`).  The mode is only a centering
+    device for quadrature boxes and proposals; its tolerance is looser than
+    the pseudo-true solver's.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    n, d = X.shape
     if tol is None:
-        tol = 1e-6 * (1 + n)
-    box = prior.params if prior.kind == "uniform-box" else None
-
-    def clamp(b):
-        if box is None:
-            return b
-        pad = 1e-9 * (box["b"] - box["a"])
-        return np.clip(b, box["a"] + pad, box["b"] - pad)
-
-    def value(b):
-        t = X @ b
-        v = float(y @ t - np.sum(family.a(t)))
-        if box is None:
-            v += float(np.sum(prior.logpdf(b)))
-        return v
-
-    beta = clamp(np.zeros(d))
-    cap = family.linpred_cap
-    v = value(beta)
-    for _ in range(max_iter):
-        t = X @ beta
-        grad = X.T @ (y - family.a1(t)) + (0 if box is not None else prior.d1(beta))
-        if np.linalg.norm(grad) <= tol:
-            break
-        neg_hess = (X * family.a2(t)[:, None]).T @ X
-        if box is None:
-            neg_hess = neg_hess - np.diag(prior.d2(beta))
-        jitter = 0.0
-        while True:
-            try:
-                chol = cho_factor(neg_hess + jitter * np.eye(d))
-                break
-            except LinAlgError:
-                jitter = max(2 * jitter, 1e-10 * (1 + np.trace(neg_hess) / d))
-        step = cho_solve(chol, grad)
-        alpha = 1.0
-        while alpha > 1e-14:
-            cand = clamp(beta + alpha * step)
-            if not np.array_equal(cand, beta) and (
-                    cap is None or np.max(np.abs(X @ cand)) <= cap):
-                vc = value(cand)
-                # accept only true non-decrease: a tolerance band here lets
-                # the search leak downhill forever at a kink-pinned optimum,
-                # where the smoothed gradient never vanishes
-                if vc >= v:
-                    stalled = (vc - v <= 1e-12 * (1 + abs(v)) and
-                               np.max(np.abs(cand - beta))
-                               <= 1e-13 * (1 + np.max(np.abs(beta))))
-                    beta, v = cand, vc
-                    if stalled:
-                        alpha = 0.0  # pinned at a kink/boundary; accept point
-                    break
-            alpha *= 0.5
-        if alpha <= 1e-14:
-            break  # no usable step left; accept current point
-    else:
-        raise NonConvergenceError("posterior mode search did not converge")
-    return beta, log_target_curvature(family, X, prior, beta)
+        tol = 1e-6 * (1 + X.shape[0])
+    mode = newton_ascent(family, X, y, tol, max_iter, prior=prior).beta_star
+    return mode, log_target_curvature(family, X, prior, mode)
 
 
 def conjugate_log_z(X, y, sigma, tau_p):
@@ -341,14 +285,7 @@ def _importance_sample(family, X, y, prior, n_draws, seed):
     X = np.asarray(X, dtype=float)
     d = X.shape[1]
     mode, curv = posterior_mode(family, X, y, prior)
-    jitter = 0.0
-    while True:
-        try:
-            chol = cho_factor(curv + jitter * np.eye(d))
-            break
-        except LinAlgError:
-            jitter = max(2 * jitter, 1e-10 * (1 + np.trace(curv) / d))
-    shape = _PROPOSAL_INFLATION * cho_solve(chol, np.eye(d))
+    shape = _PROPOSAL_INFLATION * cho_solve(_cholesky(curv, lift=True), np.eye(d))
     shape = (shape + shape.T) / 2
     L = np.linalg.cholesky(shape)
     log_det_shape = 2.0 * np.sum(np.log(np.diag(L)))

@@ -137,11 +137,16 @@ _REGISTRY = {
 
 
 def get_prior(kind, **params):
+    """Resolve a prior identifier plus parameters to a Prior; an unknown or
+    wrongly typed parameter is a ConfigError."""
     try:
         ctor = _REGISTRY[kind]
     except KeyError:
         raise ConfigError(f"unknown prior {kind!r}; known: {sorted(_REGISTRY)}")
-    return ctor(**params)
+    try:
+        return ctor(**params)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad parameters for prior {kind!r}: {exc}")
 
 
 def log_density(prior, beta):
@@ -210,10 +215,6 @@ def _analytic_extremes(prior, ell):
     rho = _spherical_rho(ell)
     m = ell.center
     d = ell.d
-    if prior.kind == "uniform-box":
-        _require_box_support(prior, ell)
-        v = d * prior.log_normalizer
-        return v, v
     if rho is None:
         raise ConfigError(
             "analytic extremes need a spherical metric (W = s*I); "
@@ -235,10 +236,6 @@ def _analytic_extremes(prior, ell):
 
 
 def _conservative_extremes(prior, ell):
-    if prior.kind == "uniform-box":
-        _require_box_support(prior, ell)
-        v = ell.d * prior.log_normalizer
-        return v, v
     rho = _spherical_rho(ell)
     if prior.kind == "laplace-product" and rho is not None:
         # triangle-inequality envelope on the l1 norm
@@ -252,10 +249,6 @@ def _conservative_extremes(prior, ell):
 
 def _numeric_extremes(prior, ell, tol=1e-8):
     from scipy.optimize import minimize  # deferred: scipy.optimize is slow to import
-    if prior.kind == "uniform-box":
-        _require_box_support(prior, ell)
-        v = ell.d * prior.log_normalizer
-        return v, v
     d = ell.d
     T = np.sqrt(ell.threshold) * ell.W_inv_sqrt  # unit ball -> ellipsoid
 
@@ -310,15 +303,15 @@ def extremes_over_ball(prior, ell, method="conservative"):
     conservative always brackets analytic/numeric; analytic is exact where
     defined; numeric refines conservative with constrained optimization.
     """
-    if method == "analytic":
-        out = _analytic_extremes(prior, ell)
-    elif method == "conservative":
-        out = _conservative_extremes(prior, ell)
-    elif method == "numeric":
-        out = _numeric_extremes(prior, ell)
-    else:
+    methods = {"analytic": _analytic_extremes, "conservative": _conservative_extremes,
+               "numeric": _numeric_extremes}
+    if method not in methods:
         raise ConfigError(f"unknown extremes method {method!r}")
-    log_sup, log_inf = out
+    if prior.kind == "uniform-box":  # constant on its box: every method is exact
+        _require_box_support(prior, ell)
+        log_sup = log_inf = ell.d * prior.log_normalizer
+    else:
+        log_sup, log_inf = methods[method](prior, ell)
     if not log_sup >= log_inf:
         raise ConfigError("extremes inverted; this is a bug")
     return float(log_sup), float(log_inf)

@@ -84,7 +84,7 @@ def theoretical_C(kind, tau_or_gbar, X, d, n, R, k0=8.0, nu=1.0):
     raise ConfigError(f"unknown tail kind {kind!r}")
 
 
-def calibrate_C(mechanism, X, ell, n_rep, delta_tilde, seed=0):
+def calibrate_C(mechanism, X, ell, n_rep, delta_tilde, seed=0, mean=None):
     """Empirical-quantile C: simulate response draws from the mechanism,
     take the (1 - delta_tilde) quantile (conservative upper order statistic)
     of the exact supremum over the ellipsoid, divide by d.
@@ -92,17 +92,20 @@ def calibrate_C(mechanism, X, ell, n_rep, delta_tilde, seed=0):
     The supremum of the centered linear process does not depend on the
     model family or on the fitted center, only on the residual law, the
     design, and the ellipsoid geometry, so those are the only inputs.
+    Residuals are drawn around `mean`, the analytic mean of y (by default
+    mechanism.mean(X); a submodel on some of the generating design's
+    columns passes the generating mean).
     """
     if n_rep < 100:
         raise ConfigError("need n_rep >= 100 to calibrate a quantile")
     if not (0 < delta_tilde < 0.25):
         raise ConfigError("delta_tilde must lie in (0, 1/4)")
     X = np.asarray(X, dtype=float)
-    mean = mechanism.mean(X)
+    mean = mechanism.mean(X) if mean is None else mean
     sups = np.empty(int(n_rep))
     for r in range(int(n_rep)):
         rng = derive_rng(seed, "calibrate", r)
-        sups[r] = exact_sup_ellipsoid(X, mechanism.draw(X, rng) - mean, ell)
+        sups[r] = exact_sup_ellipsoid(X, mechanism.draw_from_mean(mean, rng) - mean, ell)
     sups.sort()
     q = float(np.quantile(sups, 1.0 - delta_tilde, method="higher"))
     return ProcessConstants(C=q / ell.d, delta_tilde=float(delta_tilde),

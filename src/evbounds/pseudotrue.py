@@ -4,7 +4,8 @@ Under misspecification the fitted model's population optimum need not equal
 any generating parameter; it is the Kullback-Leibler projection of the truth
 onto the model.  The solver is damped Newton ascent with an Armijo line
 search, which is globally convergent here because the objective is smooth
-and strictly concave for full-column-rank designs.
+and strictly concave for full-column-rank designs.  The same solver, with a
+log prior added, finds posterior modes (see `newton_ascent`).
 """
 
 from __future__ import annotations
@@ -54,40 +55,103 @@ def _check_rank(X):
         raise SingularityError("design is rank deficient")
 
 
-def _newton_ascent(family, X, target_mean, tol_grad, max_iter):
-    n, d = X.shape
-    beta = np.zeros(d)
-    value, grad, hess = expected_loglik(family, X, target_mean, beta)
-    cap = family.linpred_cap
-    history = [value]
+_KINK_STEP = 1e-7  # run of the one-sided difference quotients at a kink
+
+
+def _with_prior(prior, beta, grad, neg_hess):
+    """Gradient and -Hessian of the log target from the log-likelihood's.
+    Off the prior's kinks add its d1 and -d2.  A coordinate on a kink (a
+    box face is one) takes the one-sided slope of the exact log density
+    that ascends, and no prior curvature; if neither side ascends it is
+    held: gradient 0, and out of the Newton system."""
+    on_kink = np.isin(beta, prior.kinks)
+    k = beta[on_kink]
+    with np.errstate(invalid="ignore"):
+        at, up, down = (prior.logpdf(k + h) for h in (0.0, _KINK_STEP, -_KINK_STEP))
+    right = grad[on_kink] + (up - at) / _KINK_STEP
+    left = grad[on_kink] + (at - down) / _KINK_STEP
+    grad, curvature = grad + prior.d1(beta), -prior.d2(beta)
+    grad[on_kink] = np.where(right > 0, right, np.where(left < 0, left, 0.0))
+    curvature[on_kink] = 0.0
+    held = on_kink & (grad == 0)
+    return grad, np.where(held[:, None] | held[None, :], np.diag(held * 1.0),
+                          neg_hess + np.diag(curvature))
+
+
+def _cholesky(M, lift):
+    """Cholesky factor of M.  With lift, a failure lifts the diagonal
+    (doubling from 1e-10 * (1 + mean diagonal)) until M factors; without,
+    it is a SingularityError."""
+    jitter = 0.0
+    while True:
+        try:
+            return cho_factor(M + jitter * np.eye(len(M)))
+        except LinAlgError:
+            if not lift:
+                raise SingularityError("expected-likelihood Hessian not negative definite")
+            jitter = max(2 * jitter, 1e-10 * (1 + np.trace(M) / len(M)))
+
+
+def newton_ascent(family, X, target, tol_grad, max_iter=MAX_ITER, prior=None):
+    """Maximize target'X beta - A(beta) [+ log prior(beta)] by damped
+    Newton ascent from beta = 0 (clamped into a uniform box).
+
+    target is Ey (pseudo-true fit) or y (MLE, posterior mode).  The prior
+    enters the Newton system as in `_with_prior` (its -Hessian lifted if it
+    is not positive definite) and the line search through its exact log
+    density.  Armijo backtracking; a coordinate that would cross a prior
+    kink stops on it.  Converged when the gradient norm is at most
+    tol_grad.  Stalled when no step passes the line search, or the step
+    moves beta by under 1e-13 and the value by under 1e-12, relative: with
+    a prior the point is pinned at a kink and is returned (converged
+    False); without one the optimum is at infinity: NonConvergenceError.
+    """
+    beta = np.zeros(X.shape[1])
+    if prior is not None and prior.kind == "uniform-box":
+        beta = np.clip(beta, prior.params["a"], prior.params["b"])
+    kinks = () if prior is None else prior.kinks
+
+    def value_at(t, b):
+        value = float(np.sum(target * t - family.a(t)))
+        return value if prior is None else value + float(np.sum(prior.logpdf(b)))
+
+    t = X @ beta
+    value = value_at(t, beta)
     for it in range(1, max_iter + 1):
+        grad = X.T @ (target - family.a1(t))
+        neg_hess = (X * family.a2(t)[:, None]).T @ X
+        if prior is not None:
+            grad, neg_hess = _with_prior(prior, beta, grad, neg_hess)
         gnorm = float(np.linalg.norm(grad))
         if gnorm <= tol_grad:
-            return PseudoTrueFit(beta, value, gnorm, it - 1, True), history
-        try:
-            chol = cho_factor(-hess)
-        except LinAlgError:
-            raise SingularityError("expected-likelihood Hessian not negative definite")
-        step = cho_solve(chol, grad)
+            return PseudoTrueFit(beta, value, gnorm, it - 1, True)
+        step = cho_solve(_cholesky(neg_hess, lift=prior is not None), grad)
+        # a coordinate on a kink moves only the way its slope ascends
+        step = np.where(np.isin(beta, kinks) & (step * grad <= 0), 0.0, step)
         slope = float(grad @ step)  # Newton direction: slope > 0
-        alpha = 1.0
-        while True:
-            cand = beta + alpha * step
-            if cap is None or np.max(np.abs(X @ cand)) <= cap:
-                cand_value = float(np.sum(target_mean * (X @ cand) - family.a(X @ cand)))
-                if cand_value >= value + ARMIJO_C * alpha * slope:
+        alpha, cand = 1.0, None
+        while alpha >= 1e-14:
+            trial = beta + alpha * step
+            for k in kinks:
+                trial = np.where((beta - k) * (trial - k) < 0, k, trial)
+            trial_t = X @ trial
+            if family.linpred_cap is None or np.max(np.abs(trial_t)) <= family.linpred_cap:
+                trial_value = value_at(trial_t, trial)
+                if trial_value >= value + ARMIJO_C * alpha * slope:
+                    cand = trial
                     break
             alpha *= 0.5
-            if alpha < 1e-14:
-                raise NonConvergenceError(
-                    f"line search stalled at iteration {it} (grad norm {gnorm:.3e}); "
-                    "the optimum may be at infinity (e.g. targets on the mean boundary)")
-        beta = cand
-        value, grad, hess = expected_loglik(family, X, target_mean, beta)
-        if value < history[-1] - 1e-9 * (1 + abs(history[-1])):
-            raise NonConvergenceError("ascent lost monotonicity")  # defensive
-        history.append(value)
-    gnorm = float(np.linalg.norm(grad))
+        if cand is not None:
+            moved = np.max(np.abs(cand - beta)) > 1e-13 * (1 + np.max(np.abs(beta)))
+            gained = trial_value - value > 1e-12 * (1 + abs(value))
+            beta, t, value = cand, trial_t, trial_value
+            if moved or gained:
+                continue
+        if prior is None:
+            raise NonConvergenceError(
+                f"line search stalled at iteration {it} (grad norm {gnorm:.3e}); "
+                "the optimum may be at infinity (e.g. targets on the mean boundary)")
+        return PseudoTrueFit(beta, value, gnorm, it, False)
     raise NonConvergenceError(
         f"no convergence in {max_iter} iterations (grad norm {gnorm:.3e}, tol {tol_grad:.3e})")
 
@@ -109,8 +173,7 @@ def solve_pseudo_true(family, X, true_mean, tol_grad=None, max_iter=MAX_ITER):
             "the expected-likelihood maximizer diverges")
     if tol_grad is None:
         tol_grad = 1e-8 * n
-    fit, _ = _newton_ascent(family, X, true_mean, tol_grad, max_iter)
-    return fit
+    return newton_ascent(family, X, true_mean, tol_grad, max_iter)
 
 
 def solve_mle(family, X, y, tol_grad=None, max_iter=MAX_ITER):
@@ -124,7 +187,7 @@ def solve_mle(family, X, y, tol_grad=None, max_iter=MAX_ITER):
     _check_rank(X)
     if tol_grad is None:
         tol_grad = 1e-8 * X.shape[0]
-    fit, _ = _newton_ascent(family, X, y, tol_grad, max_iter)
+    fit = newton_ascent(family, X, y, tol_grad, max_iter)
     fitted = family.a1(X @ fit.beta_star)
     if np.max(np.abs(y - fitted)) < 1e-6 and not np.all(family.mean_ok(y)):
         # fitted means have reached boundary responses: the gradient vanishes

@@ -242,30 +242,13 @@ def log_det_pd(H):
     return float(2.0 * np.sum(np.log(np.diag(chol))))
 
 
-def operator_norm(X, tol=1e-10, max_iter=10_000):
-    """Largest singular value via power iteration on the smaller Gram matrix."""
+def operator_norm(X):
+    """Largest singular value: the root of the largest eigenvalue of the
+    smaller Gram matrix, exact to rounding."""
     X = np.asarray(X, dtype=float)
     if not np.all(np.isfinite(X)):
         raise DomainError("non-finite entries")
     if X.ndim != 2:
         X = np.atleast_2d(X)
     G = X.T @ X if X.shape[1] <= X.shape[0] else X @ X.T
-    k = G.shape[0]
-    if np.abs(G).max() == 0.0:
-        return 0.0
-    rng = np.random.default_rng(0)
-    v = np.ones(k) + 1e-3 * rng.standard_normal(k)
-    v /= np.linalg.norm(v)
-    sigma_sq = 0.0
-    for _ in range(max_iter):
-        w = G @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        new = float(v @ (G @ v))
-        if abs(new - sigma_sq) <= tol * new:
-            sigma_sq = new
-            break
-        sigma_sq = new
-    return float(np.sqrt(sigma_sq))
+    return float(np.sqrt(max(float(np.linalg.eigvalsh(G)[-1]), 0.0)))

@@ -301,6 +301,20 @@ def test_concentration_mass_monotone_in_radius():
     assert small.per_n[0]["frac_concentrated"] <= big.per_n[0]["frac_concentrated"] + 1e-15
 
 
+def test_stages_are_built_only_when_read(tmp_path, capsys, monkeypatch):
+    # neither a concentration study nor a pseudo-true fit reads the
+    # certificate, the prior extremes or the process constants
+    def refuse(*args, **kwargs):
+        raise AssertionError("stage built but never read")
+
+    for name in ("calibrate_C", "certificate", "extremes_over_ball"):
+        monkeypatch.setattr(harness_mod, name, refuse)
+    rep = run_concentration(ExperimentConfig.from_flat(_concentration_flat(1.0)))
+    assert all(row["ess_ok"] for row in rep.rows)
+    assert main(["pseudo-true", "--config", _write_cfg(tmp_path, _conjugate_flat())]) == 0
+    assert json.loads(capsys.readouterr().out)["converged"]
+
+
 def test_posterior_mass_matches_exact_conjugate_ellipsoid_mass():
     # gaussian variant where the posterior is exactly normal: the sampled
     # localization mass must agree with the closed-form Gaussian ellipsoid
@@ -418,6 +432,18 @@ def test_cli_exit_code_config_error_wrong_type(tmp_path, capsys):
     assert main(["bounds", "--config", path]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "'n'" in err
+
+
+@pytest.mark.parametrize("extra", [
+    {"prior.tau_p": "abc"},
+    {"mechanism.beta0": "x"},
+    {"prior.bogus": 1},
+    {"mechanism.size": "big"},  # a key the mechanism does not take
+])
+def test_cli_exit_code_config_error_nested_parameter(tmp_path, capsys, extra):
+    path = _write_cfg(tmp_path, _conjugate_flat(**extra))
+    assert main(["bounds", "--config", path]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_cli_exit_code_strict_hypothesis_violation(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 import evbounds.harness as harness_mod
@@ -10,11 +11,12 @@ from evbounds import (
     CapabilityError,
     ConfigError,
     ExperimentConfig,
-    NonConvergenceError,
     QuadratureGrid,
     ReliabilityError,
+    build_context,
     conjugate_log_z,
     default_ellipsoid,
+    derive_rng,
     get_family,
     get_prior,
     importance_log_z,
@@ -26,6 +28,7 @@ from evbounds import (
     posterior_mode,
     quadrature_log_z,
     replicate_rng,
+    run_concentration,
     run_coverage,
     solve_pseudo_true,
 )
@@ -237,13 +240,13 @@ def test_coverage_replicate_falls_back_to_its_own_grid():
 
 
 def test_coverage_replicate_no_longer_needs_the_posterior_mode():
-    # on this dataset the mode search stalls at the laplace prior's kink;
-    # the shared grid needs no mode, and a wider shared box agrees
+    # on this dataset a coordinate of the mode sits on the laplace prior's
+    # kink; the shared grid needs no mode, a wider shared box agrees, and
+    # the mode search stops on the kink, so a mode-centred grid agrees too
     cfg = ExperimentConfig.from_flat(POISSON_STUDY)
     ctx = harness_mod._coverage_context(cfg)
     y = _study_response(ctx, 0)
-    with pytest.raises(NonConvergenceError):
-        posterior_mode(ctx.family, ctx.X, y, ctx.prior)
+    posterior_mode(ctx.family, ctx.X, y, ctx.prior)
     row = run_coverage(cfg).rows[0]
     assert row["failed"] == 0
     centre = ctx.fit.beta_star
@@ -251,6 +254,83 @@ def test_coverage_replicate_no_longer_needs_the_posterior_mode():
                           log_target_curvature(ctx.family, ctx.X, ctx.prior, centre),
                           box_halfwidth=16.0)
     assert abs(row["oracle_log_z"] - wide.log_z(y).log_z) < 1e-6
+    own = quadrature_log_z(ctx.family, ctx.X, y, ctx.prior)
+    assert abs(row["oracle_log_z"] - own.log_z) < 1e-6
+
+
+# the acceptance concentration study at its n = 200 point
+CONCENTRATION_STUDY = {
+    "family": "logistic", "mechanism": "glm-well-specified",
+    "mechanism.beta0_scale": 0.5, "design": "rademacher",
+    "prior": "laplace-product", "prior.kappa": 1.0, "c1": 4.0, "eta": 0.1,
+    "d_rule": "n^0.3", "n_grid": [200], "n_replicates": 22, "n_draws": 20000,
+    "n": 200, "master_seed": 4,
+}
+
+
+def _log_target(family, X, y, prior, beta):
+    t = X @ beta
+    return float(y @ t - np.sum(family.a(t)) + np.sum(prior.logpdf(beta)))
+
+
+def _assert_coordinate_max(family, X, y, prior, mode, h=1e-3, rel=1e-9):
+    at_mode = _log_target(family, X, y, prior, mode)
+    for j in range(len(mode)):
+        for step in (-h, h):
+            probe = mode.copy()
+            probe[j] += step
+            assert _log_target(family, X, y, prior, probe) <= at_mode + rel * abs(at_mode)
+
+
+@pytest.mark.parametrize("study, master_seed, replicate", [
+    ("poisson", 14040, 79), ("poisson", 14048, 0), ("poisson", 14054, 97),
+    ("concentration", 4, 21), ("concentration", 4, 163), ("concentration", 6, 71),
+    ("concentration", 6, 96), ("concentration", 7, 81), ("concentration", 8, 159),
+])
+def test_posterior_mode_stops_on_the_laplace_kink(study, master_seed, replicate):
+    # a coordinate of each of these modes sits on the kink, where a search
+    # that steps across the kink without stopping on it runs out of iterations
+    if study == "poisson":
+        ctx = build_context(ExperimentConfig.from_flat(dict(POISSON_STUDY, master_seed=master_seed)))
+        y = _study_response(ctx, replicate)
+    else:
+        ctx = build_context(ExperimentConfig.from_flat(
+            dict(CONCENTRATION_STUDY, master_seed=master_seed)))
+        y = ctx.mechanism.draw(ctx.X, derive_rng(master_seed, "concentration", 200, replicate))
+    mode, _ = posterior_mode(ctx.family, ctx.X, y, ctx.prior)
+    assert np.any(mode == 0.0)
+    _assert_coordinate_max(ctx.family, ctx.X, y, ctx.prior, mode)
+
+
+PRIORS = {
+    "gaussian-product": {"tau_p": 2.0},
+    "laplace-product": {"kappa": 1.0},
+    "student-product": {"nu": 5.0, "s": 1.0},
+    "uniform-box": {"a": -1.0, "b": 1.0},
+}
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(family=st.sampled_from([GAU, LOG, POI]), prior=st.sampled_from(sorted(PRIORS)),
+       n=st.integers(20, 200), d=st.integers(1, 4),
+       scale=st.floats(0.0, 0.5), seed=st.integers(0, 2**32 - 1))
+def test_posterior_mode_is_a_coordinate_maximum(family, prior, n, d, scale, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-1, 1, size=(n, d))
+    beta0 = scale * rng.uniform(-1, 1, size=d)
+    mean = family.a1(X @ beta0)
+    y = family.sample(mean, rng)
+    prior = get_prior(prior, **PRIORS[prior])
+    mode, curvature = posterior_mode(family, X, y, prior)
+    assert curvature.shape == (d, d)
+    _assert_coordinate_max(family, X, y, prior, mode)
+
+
+def test_concentration_estimate_at_a_kink_mode():
+    # replicate 21 is the (4, 21) dataset above, whose mode sits on the kink
+    row = run_concentration(ExperimentConfig.from_flat(CONCENTRATION_STUDY)).rows[21]
+    assert row["ess_ok"] == 1 and row["fail_reason"] == ""
+    assert abs(row["gamma"] - 0.968) < 0.005 and row["gamma_se"] < 0.002
 
 
 # ---------------------------------------------------------------------------
