@@ -235,6 +235,17 @@ def _build_mechanism(config, d):
     return mech
 
 
+def _check_columns(columns, d):
+    """Candidate column indices as ints, each in 0..d-1 (no wrap-around)."""
+    try:
+        cols = [int(c) for c in columns]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad columns {columns!r}: {exc}")
+    if not cols or not all(0 <= c < d for c in cols):
+        raise ConfigError(f"columns {cols} must be a non-empty list of indices in 0..{d - 1}")
+    return cols
+
+
 def build_context(config, n=None, d=None, columns=None):
     """The one pipeline builder: design, truth, true mean, pseudo-true fit
     and localization ellipsoid at n (default config.n) and d (default from
@@ -248,7 +259,7 @@ def build_context(config, n=None, d=None, columns=None):
     mech = _build_mechanism(config, d)
     true_mean = mech.mean(X)
     if columns is not None:
-        X = X[:, [int(c) for c in columns]]
+        X = X[:, _check_columns(columns, d)]
         d = X.shape[1]
     family = get_family(config.family)
     fit = solve_pseudo_true(family, X, true_mean)
@@ -595,7 +606,9 @@ def run_model_compare(config):
     partial order certified by non-overlapping evidence intervals.
 
     Candidates are dicts with a `name`, optional `columns` (indices into
-    the base design), and optional overrides for family/prior keys.
+    the base design), and optional overrides for family/prior keys.  A
+    candidate that sets `prior` takes its `prior.*` keys from itself alone;
+    one that does not inherits the base config's.
     """
     if not config.candidates:
         raise ConfigError("model comparison needs a candidates list")
@@ -611,7 +624,7 @@ def run_model_compare(config):
         name = cand.pop("name")
         cols = cand.pop("columns", None)
         overrides = {}
-        prior_params = dict(config.prior_params)
+        prior_params = {} if "prior" in cand else dict(config.prior_params)
         for key, value in cand.items():
             if key.startswith("prior."):
                 prior_params[key.split(".", 1)[1]] = value

@@ -33,10 +33,10 @@ class EvidenceEstimate:
     ess: float | None = None
 
 
-# doubles per n-by-k block of linear predictors (512 KB).  The cumulant
-# kernels hold at most two such blocks at once, the predictors and their
-# cumulants, and at this size both stay in cache: blocks of 1e6 doubles
-# ran the kernels 2-4x slower.
+# doubles per u-by-k block of linear predictors (512 KB), u the number of
+# distinct design rows.  The cumulant kernels hold at most two such blocks
+# at once, the predictors and their cumulants, and at this size both stay
+# in cache: blocks of 1e6 doubles ran the kernels 2-4x slower.
 _CHUNK_DOUBLES = 2**16
 
 
@@ -44,28 +44,41 @@ def _chunk_points(n):
     return max(1, int(_CHUNK_DOUBLES // max(1, n)))
 
 
-def _cumulant_sum(family, X, points):
-    """A(beta) = sum_i a(x_i'beta) for each row beta of `points`."""
-    return np.sum(family.a(X @ points.T), axis=0)
+def _distinct_rows(X):
+    """(rows, counts): the distinct rows of X and how often each occurs.
+
+    A(beta) = sum_i a(x_i'beta) depends on the design only through these,
+    A(beta) = sum_u m_u a(x_u'beta), so a design whose rows repeat (a
+    Rademacher design of small d) costs one cumulant per distinct row.
+    """
+    rows, counts = np.unique(X, axis=0, return_counts=True)
+    return rows, counts.astype(float)
+
+
+def _cumulant_sum(family, rows, counts, points):
+    """A(beta) = sum_u m_u a(x_u'beta) for each row beta of `points`."""
+    return counts @ family.a(rows @ points.T)
 
 
 def log_posterior_unnorm(family, X, y, prior):
     """Callable evaluating log{ p(y|beta) pi(beta) } on rows of points.
 
     Canonical form: log p(y|beta) = (X'y)'beta - A(beta) + base(y), so the
-    response enters only through s = X'y and the base measure.
+    response enters only through s = X'y and the base measure, and the
+    design through its distinct rows and their counts (`_distinct_rows`).
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     s = X.T @ y
     base = family.log_base_measure(y)
+    rows, counts = _distinct_rows(X)
+    chunk = _chunk_points(rows.shape[0])
 
     def logf(points):
         points = np.atleast_2d(np.asarray(points, dtype=float))
         out = points @ s
-        chunk = _chunk_points(X.shape[0])
         for k in range(0, points.shape[0], chunk):
-            out[k:k + chunk] -= _cumulant_sum(family, X, points[k:k + chunk])
+            out[k:k + chunk] -= _cumulant_sum(family, rows, counts, points[k:k + chunk])
         with np.errstate(invalid="ignore"):
             out += np.sum(prior.logpdf(points), axis=1)
         return out + base
@@ -177,6 +190,7 @@ class QuadratureGrid:
         self.X = np.asarray(X, dtype=float)
         d = self.X.shape[1]
         _check_quadrature_args(d, box_halfwidth)
+        self._rows, self._counts = _distinct_rows(self.X)
         try:
             chol = cho_factor(curvature + 1e-12 * np.trace(curvature) / d * np.eye(d))
         except LinAlgError:
@@ -206,11 +220,12 @@ class QuadratureGrid:
                     G += self.prior.logpdf(x).reshape(axis_shape)
                 logW += lw.reshape(axis_shape)
             flat_G = G.reshape(-1)
-            chunk = _chunk_points(self.X.shape[0])
+            chunk = _chunk_points(self._rows.shape[0])
             for start in range(0, flat_G.size, chunk):
                 idx = np.unravel_index(np.arange(start, min(start + chunk, flat_G.size)), shape)
                 points = np.stack([x[i] for x, i in zip(nodes, idx)], axis=-1)
-                flat_G[start:start + chunk] -= _cumulant_sum(self.family, self.X, points)
+                flat_G[start:start + chunk] -= _cumulant_sum(self.family, self._rows,
+                                                             self._counts, points)
             self._levels.append((nodes, G, logW))
         return self._levels[k]
 

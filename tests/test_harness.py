@@ -2,6 +2,8 @@
 
 import gc
 import json
+import subprocess
+import sys
 import weakref
 
 import numpy as np
@@ -387,6 +389,15 @@ def test_compare_validation():
             _compare_flat([{"name": "x", "wat": 1}])))
 
 
+def test_compare_candidate_prior_takes_only_its_own_parameters():
+    # the base config's prior.tau_p does not leak into a laplace candidate
+    rep = run_model_compare(ExperimentConfig.from_flat(_compare_flat(
+        [{"name": "gauss"}, {"name": "lap", "prior": "laplace-product", "prior.kappa": 1.0}])))
+    by_name = {r["name"]: r for r in rep.rows}
+    assert set(by_name) == {"gauss", "lap"}
+    assert np.isfinite(by_name["lap"]["lower"]) and by_name["lap"]["lower"] <= by_name["lap"]["upper"]
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
@@ -395,6 +406,17 @@ def _write_cfg(tmp_path, flat, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(flat))
     return str(path)
+
+
+def test_import_leaves_heavy_scipy_submodules_unloaded():
+    # they cost about half a second of `import evbounds`; code that needs
+    # them imports them where it uses them
+    heavy = ("scipy.stats", "scipy.optimize", "scipy.integrate")
+    code = ("import sys, evbounds, evbounds.cli; "
+            f"print(','.join(m for m in {heavy!r} if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == ""
 
 
 def test_cli_bounds_success_json(tmp_path, capsys):
@@ -444,6 +466,16 @@ def test_cli_exit_code_config_error_nested_parameter(tmp_path, capsys, extra):
     path = _write_cfg(tmp_path, _conjugate_flat(**extra))
     assert main(["bounds", "--config", path]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("columns", [[7], [-1], [0, 3], []])
+def test_cli_compare_exit_code_columns_outside_design(tmp_path, capsys, columns):
+    # d = 3: an index past the design or a negative one (which numpy would
+    # wrap to the last column) is a config error, not a traceback
+    path = _write_cfg(tmp_path, _compare_flat([{"name": "a"}, {"name": "b", "columns": columns}]))
+    assert main(["compare", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "columns" in err
 
 
 def test_cli_exit_code_strict_hypothesis_violation(tmp_path, capsys):

@@ -182,10 +182,11 @@ def _population_grid(family, X, beta0, prior, **kwargs):
     (POI, 100, [0.3, -0.2, 0.1], get_prior("laplace-product", kappa=1.0)),
     (GAU, 80, [0.5, -0.3], get_prior("gaussian-product", tau_p=2.0)),
 ])
-def test_shared_grid_matches_mode_centred_quadrature(family, n, beta0, prior):
+def test_shared_grid_matches_mode_centred_quadrature(family, n, beta0, prior, design="uniform"):
     rng = np.random.default_rng(23)
     beta0 = np.array(beta0)
-    X = rng.uniform(-1, 1, size=(n, len(beta0)))
+    X = (rng.uniform(-1, 1, size=(n, len(beta0))) if design == "uniform"
+         else rng.choice([-1.0, 1.0], size=(n, len(beta0))))
     grid = _population_grid(family, X, beta0, prior)
     mean = family.a1(X @ beta0)
     for _ in range(3):
@@ -202,6 +203,13 @@ def test_shared_grid_matches_mode_centred_quadrature(family, n, beta0, prior):
         if family is GAU:
             exact = conjugate_log_z(X, y, sigma=1.0, tau_p=prior.params["tau_p"])
             assert abs(shared.log_z - exact.log_z) < 1e-9
+
+
+def test_shared_grid_on_repeated_rows_matches_conjugate():
+    # 80 rows over at most 4 distinct ones: the grid sums the cumulant once
+    # per distinct row, weighted by its count
+    test_shared_grid_matches_mode_centred_quadrature(
+        GAU, 80, [0.5, -0.3], get_prior("gaussian-product", tau_p=2.0), design="rademacher")
 
 
 LOGISTIC_STUDY = {
@@ -438,16 +446,19 @@ def test_posterior_mass_gaussian_matches_exact_posterior_cdf():
 # ---------------------------------------------------------------------------
 
 def test_log_posterior_unnorm_matches_direct_sum():
-    rng = np.random.default_rng(19)
-    X = rng.uniform(-1, 1, size=(30, 2))
-    y = rng.poisson(1.0, size=30).astype(float)
-    prior = get_prior("laplace-product", kappa=2.0)
-    logf = log_posterior_unnorm(POI, X, y, prior)
-    pts = rng.normal(scale=0.3, size=(5, 2))
-    vals = logf(pts)
-    for k in range(5):
-        direct = log_likelihood_full(POI, X, y, pts[k]) + log_density(prior, pts[k])
-        assert abs(vals[k] - direct) < 1e-10
+    # the Rademacher 30 x 2 design has at most 4 distinct rows, each repeated
+    for design in ("uniform", "rademacher"):
+        rng = np.random.default_rng(19)
+        X = (rng.uniform(-1, 1, size=(30, 2)) if design == "uniform"
+             else rng.choice([-1.0, 1.0], size=(30, 2)))
+        y = rng.poisson(1.0, size=30).astype(float)
+        prior = get_prior("laplace-product", kappa=2.0)
+        logf = log_posterior_unnorm(POI, X, y, prior)
+        pts = rng.normal(scale=0.3, size=(5, 2))
+        vals = logf(pts)
+        for k in range(5):
+            direct = log_likelihood_full(POI, X, y, pts[k]) + log_density(prior, pts[k])
+            assert abs(vals[k] - direct) < 1e-10
 
 
 # ---------------------------------------------------------------------------
