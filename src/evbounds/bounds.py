@@ -30,7 +30,8 @@ class BoundsReport:
     terms_upper: dict
     terms_lower: dict
     constants: dict   # C, c, eta, R, delta, delta_tilde
-    validity: dict    # c_in_range, eta_in_range, assumption1_checked, assumption2_source
+    validity: dict    # c_in_range, eta_in_range, set_mass_certified, assumption1_checked,
+                      # assumption2_source
     prob_Rd: ProbResult = field(repr=False, default=None)
     prob_Rd_over_c: ProbResult = field(repr=False, default=None)
     coverage_guarantee: float = 0.0
@@ -43,7 +44,8 @@ class BoundsReport:
 
     @property
     def theorem_certified(self):
-        return bool(self.validity["c_in_range"] and self.validity["eta_in_range"])
+        return bool(self.validity["c_in_range"] and self.validity["eta_in_range"]
+                    and self.validity["set_mass_certified"])
 
     def to_dict(self):
         out = {
@@ -58,9 +60,12 @@ class BoundsReport:
             "validity": dict(self.validity),
             "theorem_certified": self.theorem_certified,
             "coverage_guarantee": self.coverage_guarantee,
-            "prob_Rd": self.prob_Rd.p,
-            "prob_Rd_over_c": self.prob_Rd_over_c.p,
         }
+        for name in ("prob_Rd", "prob_Rd_over_c"):
+            mass = getattr(self, name)
+            out[name] = mass.p
+            out[f"{name}_method"] = mass.method
+            out[f"{name}_se"] = mass.standard_error
         if self.mle_log_lik is not None:
             out["mle_log_lik"] = self.mle_log_lik
             out["mle_gap"] = self.mle_gap
@@ -130,6 +135,8 @@ def compute_bounds(fit, loglik_at_star, cert, proc, prior_ext, ell, eta=0.05,
         "c_in_range": bool(0.5 < c <= 1.0),
         "eta_in_range": bool(0 < eta < 0.25 and 0 < delta < 0.25
                              and 0 < proc.delta_tilde < 0.25),
+        # a Monte-Carlo set mass carries a standard error, not a certificate
+        "set_mass_certified": p1.method == "eigen-series" and p2.method == "eigen-series",
         "assumption1_checked": bool(assumption1_checked),
         "assumption2_source": proc.source,
     }

@@ -122,7 +122,7 @@ def _cmd_coverage(config, args):
     path = args.csv or config.output_path
     if path:
         report.write_csv(path)
-    if args.strict and not report.validity["c_in_range"]:
+    if args.strict and not report.theorem_certified:
         raise HypothesisViolation(
             f"bound hypotheses not certified: validity = {report.validity}")
     _emit({**report.summary(), "csv": path})

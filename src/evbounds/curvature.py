@@ -13,10 +13,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, LinAlgError, eigh
 
 from .errors import ConfigError, NumericalError, SingularityError
-from .pseudotrue import kl_gap
+from .pseudotrue import _cholesky, kl_gap
 
 
 @dataclass(frozen=True)
@@ -38,10 +37,7 @@ class Ellipsoid:
             raise ConfigError("W must be symmetric")
         if self.R <= 0:
             raise ConfigError("R must be positive")
-        try:
-            cho_factor(W)
-        except LinAlgError:
-            raise SingularityError("W must be positive definite")
+        _cholesky(W, error="W must be positive definite")
 
     @property
     def d(self):
@@ -52,17 +48,13 @@ class Ellipsoid:
         return self.R * self.d
 
     @cached_property
-    def _chol_W(self):
-        return cho_factor(self.W)
-
-    @cached_property
     def W_inv_sqrt(self):
-        lam, Q = eigh(self.W)
+        lam, Q = np.linalg.eigh(self.W)
         return (Q / np.sqrt(lam)) @ Q.T
 
     @cached_property
     def W_sqrt(self):
-        lam, Q = eigh(self.W)
+        lam, Q = np.linalg.eigh(self.W)
         return (Q * np.sqrt(lam)) @ Q.T
 
     def mahalanobis(self, beta):
@@ -76,7 +68,7 @@ class Ellipsoid:
 
     def coordinate_halfwidths(self):
         """Exact per-coordinate ranges: center_j +/- sqrt(R d) |W^{-1/2} e_j|."""
-        inv_diag = np.diag(cho_solve(self._chol_W, np.eye(self.d)))
+        inv_diag = np.sum(self.W_inv_sqrt**2, axis=0)  # diag of W^{-1}
         return np.sqrt(self.threshold * inv_diag)
 
     def scaled(self, factor):
@@ -100,8 +92,8 @@ def predictor_intervals(X, ell):
     if X.shape[1] != ell.d:
         raise ConfigError("design/ellipsoid dimension mismatch")
     mid = X @ ell.center
-    V = cho_solve(ell._chol_W, X.T)  # W^{-1} X'
-    hw = np.sqrt(ell.threshold * np.einsum("dn,dn->n", X.T, V))
+    V = X @ ell.W_inv_sqrt  # rows W^{-1/2} x_i
+    hw = np.sqrt(ell.threshold * np.einsum("nd,nd->n", V, V))
     return mid - hw, mid + hw
 
 

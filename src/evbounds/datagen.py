@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import ConfigError, DomainError
 from .families import TailBound, get_family
@@ -135,6 +135,9 @@ class GlmTruth(Mechanism):
         return np.asarray(self.response.a1(X @ self.beta0), dtype=float)
 
 
+_erfc = np.vectorize(math.erfc, otypes=[float])
+
+
 class ProbitTruth(Mechanism):
     """Bernoulli truth with a probit link: misspecified for the logistic model."""
 
@@ -145,7 +148,7 @@ class ProbitTruth(Mechanism):
         self.response = get_family("logistic")  # Bernoulli responses
 
     def mean(self, X):
-        return ndtr(X @ self.beta0)
+        return 0.5 * _erfc(-(X @ self.beta0) / math.sqrt(2.0))  # normal CDF
 
 
 class NegBinTruth(Mechanism):

@@ -19,11 +19,11 @@ certification can run in extended precision.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DomainError
 
@@ -181,7 +181,8 @@ def poisson_family():
         rate_coeffs=(1.0, 1.0),
         a2_extremes=lambda lo, hi: (np.exp(np.asarray(lo, dtype=float)),
                                     np.exp(np.asarray(hi, dtype=float))),
-        log_base_measure=lambda y: float(-np.sum(gammaln(np.asarray(y, dtype=float) + 1))),
+        log_base_measure=lambda y: -math.fsum(
+            map(math.lgamma, (np.asarray(y, dtype=float).ravel() + 1).tolist())),
         mean_ok=lambda m: np.asarray(m) > 0,
         sample=lambda m, rng: rng.poisson(m).astype(float),
         # Bernstein: log MGF of y-m is m(e^s - 1 - s) <= s^2 m for |s| <= 3/2

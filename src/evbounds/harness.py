@@ -12,9 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-import multiprocessing
 import numbers
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict, replace
 from functools import cached_property
 
@@ -81,6 +79,7 @@ class ExperimentConfig:
         mech_params, prior_params = {}, {}
         valid = set(cls.__dataclass_fields__)
         for key, value in flat.items():
+            _check_finite(key, value)
             if key.startswith("mechanism."):
                 mech_params[key.split(".", 1)[1]] = value
             elif key.startswith("prior."):
@@ -142,6 +141,18 @@ def _check_type(key, value, annotation):
         return
     if isinstance(value, bool) or not isinstance(value, expected):
         raise ConfigError(f"config key {key!r} must be {kind}, got {value!r}")
+
+
+def _check_finite(key, value):
+    """Refuse NaN or an infinity, which JSON files may spell, in a config
+    value or in a list or candidate it holds."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        for item in value:
+            _check_finite(key, item)
+    elif isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"config key {key!r} must be finite, got {value!r}")
 
 
 def load_config(path):
@@ -399,6 +410,7 @@ class CoverageReport:
     mean_width_per_d: float
     constants: dict
     validity: dict
+    theorem_certified: bool  # the base report's, as in `BoundsReport`
 
     def summary(self):
         return {k: v for k, v in vars(self).items() if k not in ("config", "rows")}
@@ -434,6 +446,8 @@ def run_coverage(config):
     base = ctx.base_report  # builds every stage, so a bad config fails before the pool
     reps = range(config.n_replicates)
     if config.jobs > 1:
+        import multiprocessing  # only a pooled study pays for these imports
+        from concurrent.futures import ProcessPoolExecutor
         flat_json = json.dumps(config.to_flat(), sort_keys=True)
         with ProcessPoolExecutor(max_workers=config.jobs,
                                  mp_context=multiprocessing.get_context("spawn"),
@@ -453,7 +467,8 @@ def run_coverage(config):
         hit_rate=hits / config.n_replicates,
         guaranteed_rate=1.0 - config.delta - ctx.proc.delta_tilde,
         mean_width=mean_width, mean_width_per_d=mean_width / ctx.d,
-        constants=dict(base.constants), validity=dict(base.validity))
+        constants=dict(base.constants), validity=dict(base.validity),
+        theorem_certified=base.theorem_certified)
 
 
 # ---------------------------------------------------------------------------

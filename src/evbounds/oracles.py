@@ -9,15 +9,13 @@ likelihood products are never formed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, LinAlgError
-from scipy.special import gammaln
 
-from .errors import (BoxError, CapabilityError, ConfigError, ReliabilityError,
-                     SingularityError)
-from .pseudotrue import _cholesky, newton_ascent
+from .errors import BoxError, CapabilityError, ConfigError, ReliabilityError
+from .pseudotrue import _cho_solve, _cholesky, newton_ascent
 
 _ESS_FLOOR = 0.05
 _QUAD_TOL = 1e-6
@@ -136,13 +134,10 @@ def conjugate_log_z(X, y, sigma, tau_p):
     n, d = X.shape
     r2 = (tau_p / sigma) ** 2
     A = np.eye(d) + r2 * (X.T @ X)
-    try:
-        chol = cho_factor(A)
-    except LinAlgError:
-        raise SingularityError("marginal covariance is not positive definite")
-    log_det = n * np.log(sigma**2) + 2.0 * np.sum(np.log(np.diag(chol[0])))
+    L = _cholesky(A, error="marginal covariance is not positive definite")
+    log_det = n * np.log(sigma**2) + 2.0 * np.sum(np.log(np.diag(L)))
     z = X.T @ y
-    quad = (float(y @ y) - r2 * float(z @ cho_solve(chol, z))) / sigma**2
+    quad = (float(y @ y) - r2 * float(z @ _cho_solve(L, z))) / sigma**2
     log_z = -0.5 * (n * np.log(2 * np.pi) + log_det + quad)
     return EvidenceEstimate(log_z=float(log_z), standard_error=0.0,
                             method="conjugate", n_evals=1)
@@ -191,11 +186,9 @@ class QuadratureGrid:
         d = self.X.shape[1]
         _check_quadrature_args(d, box_halfwidth)
         self._rows, self._counts = _distinct_rows(self.X)
-        try:
-            chol = cho_factor(curvature + 1e-12 * np.trace(curvature) / d * np.eye(d))
-        except LinAlgError:
-            raise SingularityError("posterior curvature not positive definite at the centre")
-        sd = np.sqrt(np.diag(cho_solve(chol, np.eye(d))))
+        L = _cholesky(curvature + 1e-12 * np.trace(curvature) / d * np.eye(d),
+                      error="posterior curvature not positive definite at the centre")
+        sd = np.sqrt(np.diag(_cho_solve(L, np.eye(d))))
         centre = np.asarray(centre, dtype=float)
         self.family, self.prior = family, prior
         self.box_halfwidth = float(box_halfwidth)
@@ -300,9 +293,9 @@ def _importance_sample(family, X, y, prior, n_draws, seed):
     X = np.asarray(X, dtype=float)
     d = X.shape[1]
     mode, curv = posterior_mode(family, X, y, prior)
-    shape = _PROPOSAL_INFLATION * cho_solve(_cholesky(curv, lift=True), np.eye(d))
+    shape = _PROPOSAL_INFLATION * _cho_solve(_cholesky(curv, lift=True), np.eye(d))
     shape = (shape + shape.T) / 2
-    L = np.linalg.cholesky(shape)
+    L = _cholesky(shape)
     log_det_shape = 2.0 * np.sum(np.log(np.diag(L)))
 
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
@@ -313,7 +306,7 @@ def _importance_sample(family, X, y, prior, n_draws, seed):
 
     delta = np.linalg.solve(L, (draws - mode).T)
     maha_sq = np.sum(delta * delta, axis=0)
-    log_q = (gammaln((nu + d) / 2) - gammaln(nu / 2) - 0.5 * d * np.log(nu * np.pi)
+    log_q = (math.lgamma((nu + d) / 2) - math.lgamma(nu / 2) - 0.5 * d * np.log(nu * np.pi)
              - 0.5 * log_det_shape - 0.5 * (nu + d) * np.log1p(maha_sq / nu))
     logf = log_posterior_unnorm(family, X, y, prior)
     lw = logf(draws) - log_q

@@ -16,11 +16,11 @@ Three routes with increasing sharpness:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import ConfigError, DomainError
 
@@ -97,7 +97,7 @@ def student_product(nu=5.0, s=1.0):
     nu, s = float(nu), float(s)
     if nu <= 0 or s <= 0:
         raise ConfigError("nu and s must be positive")
-    c = float(gammaln((nu + 1) / 2) - gammaln(nu / 2) - 0.5 * np.log(nu * np.pi * s * s))
+    c = float(math.lgamma((nu + 1) / 2) - math.lgamma(nu / 2) - 0.5 * np.log(nu * np.pi * s * s))
     return Prior(
         kind="student-product",
         params={"nu": nu, "s": s},

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .datagen import derive_rng
 from .errors import ConfigError
@@ -49,8 +48,8 @@ def exact_sup_ellipsoid(X, residual, ell):
     sqrt(R d) * ||W^{-1/2} X' residual||."""
     X = np.asarray(X, dtype=float)
     residual = np.asarray(residual, dtype=float)
-    z = X.T @ residual
-    return float(np.sqrt(ell.threshold * (z @ cho_solve(ell._chol_W, z))))
+    v = ell.W_inv_sqrt @ (X.T @ residual)
+    return float(np.sqrt(ell.threshold * (v @ v)))
 
 
 def theoretical_C(kind, tau_or_gbar, X, d, n, R, k0=8.0, nu=1.0):

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, LinAlgError
 
 from .errors import ConfigError, DomainError, NonConvergenceError, SingularityError
 
@@ -78,18 +77,25 @@ def _with_prior(prior, beta, grad, neg_hess):
                           neg_hess + np.diag(curvature))
 
 
-def _cholesky(M, lift):
-    """Cholesky factor of M.  With lift, a failure lifts the diagonal
-    (doubling from 1e-10 * (1 + mean diagonal)) until M factors; without,
-    it is a SingularityError."""
+def _cholesky(M, lift=False, error="matrix is not positive definite"):
+    """Lower Cholesky factor L of M (M = L L'): the package's one Cholesky
+    factorization, for solves (`_cho_solve`) and log-determinants.  With
+    lift, a failure lifts the diagonal (doubling from 1e-10 * (1 +
+    mean diagonal)) until M factors; without, it is a SingularityError
+    with message `error`."""
     jitter = 0.0
     while True:
         try:
-            return cho_factor(M + jitter * np.eye(len(M)))
-        except LinAlgError:
+            return np.linalg.cholesky(M + jitter * np.eye(len(M)))
+        except np.linalg.LinAlgError:
             if not lift:
-                raise SingularityError("expected-likelihood Hessian not negative definite")
+                raise SingularityError(error)
             jitter = max(2 * jitter, 1e-10 * (1 + np.trace(M) / len(M)))
+
+
+def _cho_solve(L, b):
+    """x with (L L') x = b, for L from `_cholesky`."""
+    return np.linalg.solve(L.T, np.linalg.solve(L, b))
 
 
 def newton_ascent(family, X, target, tol_grad, max_iter=MAX_ITER, prior=None):
@@ -125,7 +131,9 @@ def newton_ascent(family, X, target, tol_grad, max_iter=MAX_ITER, prior=None):
         gnorm = float(np.linalg.norm(grad))
         if gnorm <= tol_grad:
             return PseudoTrueFit(beta, value, gnorm, it - 1, True)
-        step = cho_solve(_cholesky(neg_hess, lift=prior is not None), grad)
+        step = _cho_solve(_cholesky(neg_hess, lift=prior is not None,
+                                     error="expected-likelihood Hessian not negative definite"),
+                           grad)
         # a coordinate on a kink moves only the way its slope ascends
         step = np.where(np.isin(beta, kinks) & (step * grad <= 0), 0.0, step)
         slope = float(grad @ step)  # Newton direction: slope > 0

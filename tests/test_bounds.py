@@ -177,10 +177,29 @@ def test_to_dict_is_json_serializable_and_complete():
     for key in ("ell_star", "log_det_H", "upper", "lower", "width",
                 "terms_upper", "terms_lower", "constants", "validity",
                 "theorem_certified", "coverage_guarantee", "prob_Rd",
-                "prob_Rd_over_c"):
+                "prob_Rd_over_c", "prob_Rd_method", "prob_Rd_se",
+                "prob_Rd_over_c_method", "prob_Rd_over_c_se"):
         assert key in back
+    assert back["validity"]["set_mass_certified"] is True
     assert back["width"] == pytest.approx(back["upper"] - back["lower"])
     assert "mle_log_lik" not in back  # absent unless recentering metadata given
+
+
+def test_monte_carlo_set_mass_is_recorded_and_uncertified():
+    d = 2
+    ell = Ellipsoid(np.zeros(d), np.eye(d), 1.5)
+    cert = certificate(GAU, np.eye(d), ell)
+    proc = ProcessConstants(C=1.0, delta_tilde=0.05, source="fixed")
+    exact = compute_bounds(None, 0.0, cert, proc, (0.0, 0.0), ell)
+    assert exact.validity["set_mass_certified"] and exact.theorem_certified
+    mc = compute_bounds(None, 0.0, cert, proc, (0.0, 0.0), ell, prob_method="monte-carlo")
+    assert mc.validity["set_mass_certified"] is False
+    assert not mc.theorem_certified
+    back = json.loads(json.dumps(mc.to_dict()))
+    for name in ("prob_Rd", "prob_Rd_over_c"):
+        assert back[f"{name}_method"] == "monte-carlo"
+        assert back[f"{name}_se"] > 0
+        assert abs(back[name] - getattr(exact, name).p) <= 5 * back[f"{name}_se"]
 
 
 def test_mle_recentering_metadata():

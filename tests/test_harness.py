@@ -408,15 +408,24 @@ def _write_cfg(tmp_path, flat, name="cfg.json"):
     return str(path)
 
 
-def test_import_leaves_heavy_scipy_submodules_unloaded():
-    # they cost about half a second of `import evbounds`; code that needs
-    # them imports them where it uses them
-    heavy = ("scipy.stats", "scipy.optimize", "scipy.integrate")
-    code = ("import sys, evbounds, evbounds.cli; "
-            f"print(','.join(m for m in {heavy!r} if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == ""
+def test_import_and_cli_bounds_load_no_scipy(tmp_path):
+    # nothing a `bounds` run does needs scipy; QUADPACK inversion and the
+    # numeric prior extremes import it where they use it
+    conjugate = _write_cfg(tmp_path, _conjugate_flat())
+    logistic = _write_cfg(tmp_path, _conjugate_flat(
+        family="logistic", **{"mechanism.beta0": [0.8, -0.5]}), name="logistic.json")
+    code = (
+        "import contextlib, io, sys\n"
+        "loaded = lambda: [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+        "import evbounds, evbounds.cli\n"
+        "print(loaded())\n"
+        "for path in sys.argv[1:]:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = evbounds.cli.main(['bounds', '--config', path])\n"
+        "    print(code, loaded())\n")
+    out = subprocess.run([sys.executable, "-c", code, conjugate, logistic],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split("\n")[:3] == ["[]", "0 []", "0 []"]
 
 
 def test_cli_bounds_success_json(tmp_path, capsys):
@@ -468,6 +477,20 @@ def test_cli_exit_code_config_error_nested_parameter(tmp_path, capsys, extra):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [("c1", "Infinity"), ("c1", "NaN"),
+                                        ("prior.tau_p", "NaN")])
+def test_cli_exit_code_config_error_non_finite_number(tmp_path, capsys, key, value):
+    # json reads NaN and Infinity; "c1": Infinity used to exit 0 with an
+    # infinite upper bound
+    text = json.dumps(_conjugate_flat(**{key: 1.0})).replace("1.0", value, 1)
+    assert json.loads(text)[key] != 1.0
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    assert main(["bounds", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and repr(key) in err and "finite" in err
+
+
 @pytest.mark.parametrize("columns", [[7], [-1], [0, 3], []])
 def test_cli_compare_exit_code_columns_outside_design(tmp_path, capsys, columns):
     # d = 3: an index past the design or a negative one (which numpy would
@@ -481,6 +504,13 @@ def test_cli_compare_exit_code_columns_outside_design(tmp_path, capsys, columns)
 def test_cli_exit_code_strict_hypothesis_violation(tmp_path, capsys):
     path = _write_cfg(tmp_path, _conjugate_flat(eta=0.3))
     assert main(["bounds", "--config", path, "--strict"]) == 4
+    assert "hypothesis violation" in capsys.readouterr().err
+
+
+def test_cli_coverage_strict_checks_every_hypothesis(tmp_path, capsys):
+    # eta = 0.3 leaves c in range; coverage --strict used to check c alone
+    path = _write_cfg(tmp_path, _conjugate_flat(eta=0.3, n_replicates=2))
+    assert main(["coverage", "--config", path, "--strict"]) == 4
     assert "hypothesis violation" in capsys.readouterr().err
 
 

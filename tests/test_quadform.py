@@ -1,8 +1,11 @@
 """Weighted-chi-square ball probabilities, log-determinants, operator norms."""
 
+import math
+
 import numpy as np
 import pytest
-from scipy.special import erf
+from hypothesis import given, settings, strategies as st
+from scipy.special import chdtr, erf
 from scipy.stats import chi2
 
 from evbounds import (
@@ -13,6 +16,7 @@ from evbounds import (
     operator_norm,
     prob_ball,
 )
+from evbounds.quadform import chi2_ladder
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +98,28 @@ def test_prob_ball_validation():
         prob_ball(np.eye(2), 1.0, method="saddlepoint")
 
 
+@pytest.mark.parametrize("M", [np.eye(3), np.diag([1.0, 2.5, 0.3])],
+                         ids=["equal-eigenvalues", "unequal-eigenvalues"])
+def test_prob_ball_nan_threshold_raises_and_infinite_threshold_is_one(M):
+    # NaN used to reach QUADPACK (a segfault) or come back as p = nan
+    with pytest.raises(DomainError):
+        prob_ball(M, float("nan"))
+    res = prob_ball(M, float("inf"))
+    assert res.p == 1.0 and res.method == "eigen-series"
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(lams=st.lists(st.floats(1e-2, 10.0), min_size=2, max_size=12),
+       fracs=st.lists(st.floats(1e-3, 4.0), min_size=2, max_size=6))
+def test_prob_ball_monotone_in_t(lams, fracs):
+    M = np.diag(lams)
+    ts = np.sort(np.asarray(fracs) * sum(lams))
+    ps = [prob_ball(M, t) for t in ts]
+    assert all(r.method == "eigen-series" for r in ps)
+    # each value is certified to 1e-8, so an ordered pair may invert by 2e-8
+    assert all(b.p >= a.p - 2e-8 for a, b in zip(ps, ps[1:]))
+
+
 def test_prob_ball_extreme_tails_clamp_cleanly():
     M = np.diag([1.0, 3.0])
     far = prob_ball(M, 4000.0)
@@ -111,6 +137,53 @@ def test_prob_ball_large_dimension_falls_back_to_monte_carlo():
     assert res.standard_error > 0
     # median of the weighted sum is near its mean: p should be near 1/2
     assert 0.4 < res.p < 0.6
+
+
+# ---------------------------------------------------------------------------
+# chi-square ladder
+# ---------------------------------------------------------------------------
+
+def test_chi2_cdf_matches_scipy_over_degrees_of_freedom_and_x():
+    dfs = np.unique(np.round(np.geomspace(1, 40_001, 40)).astype(int))
+    for m in dfs:
+        for x in np.geomspace(1e-8, 1e5, 50):
+            F, err = chi2_ladder(int(m), x, 1)
+            assert abs(F[0] - chdtr(m, x)) <= 1e-10, (m, x)
+            assert 0.0 <= err <= 1e-10
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 7, 50, 499])
+def test_chi2_ladder_matches_scipy_rung_by_rung(m):
+    K = 2_000
+    ks = np.arange(K)
+    for x in np.geomspace(1e-6, 1e5, 25):
+        F, err = chi2_ladder(m, x, K)
+        assert np.max(np.abs(F - chdtr(m + 2 * ks, x))) <= 1e-10, x
+        assert np.all(np.diff(F) <= 0.0)  # a reverse cumulative sum
+        assert err <= 1e-10
+
+
+def test_chi2_ladder_edge_values():
+    assert np.all(chi2_ladder(3, 0.0, 4)[0] == 0.0)
+    assert np.all(chi2_ladder(3, math.inf, 4)[0] == 1.0)
+    with pytest.raises(DomainError):
+        chi2_ladder(3, math.nan, 4)
+
+
+_DF = st.integers(1, 40_001)
+_X = st.floats(-8.0, 5.0).map(lambda e: 10.0 ** e)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(m=_DF, x=_X, x2=_X, step=st.integers(1, 50))
+def test_chi2_cdf_properties(m, x, x2, step):
+    # agrees with scipy; nondecreasing in x, nonincreasing in the degrees of
+    # freedom, up to rounding (1e-14) between separately summed values
+    cdf = lambda df, at: float(chi2_ladder(df, at, 1)[0][0])
+    assert abs(cdf(m, x) - chdtr(m, x)) <= 1e-10
+    lo, hi = sorted((x, x2))
+    assert cdf(m, lo) <= cdf(m, hi) + 1e-14
+    assert cdf(m + step, x) <= cdf(m, x) + 1e-14
 
 
 # ---------------------------------------------------------------------------
