@@ -31,20 +31,14 @@ from .families import (
     with_rate,
 )
 from .datagen import (
-    Dataset,
-    GlmTruth,
-    HeteroGaussian,
     Mechanism,
-    NegBinTruth,
-    ProbitTruth,
+    ResidualLaw,
     TailBound,
-    dataset_to_csv,
     derive_rng,
     derive_seed,
     get_mechanism,
     make_design,
     replicate_rng,
-    simulate_truth,
 )
 from .pseudotrue import (
     PseudoTrueFit,
@@ -119,9 +113,8 @@ __all__ = [
     "GlmFamily", "RateReport", "eval_cumulant", "gaussian_family",
     "get_family", "log_likelihood", "log_likelihood_full", "logistic_family",
     "poisson_family", "rate", "validate_rate", "with_rate",
-    "Dataset", "GlmTruth", "HeteroGaussian", "Mechanism", "NegBinTruth",
-    "ProbitTruth", "TailBound", "dataset_to_csv", "derive_rng", "derive_seed",
-    "get_mechanism", "make_design", "replicate_rng", "simulate_truth",
+    "Mechanism", "ResidualLaw", "TailBound", "derive_rng", "derive_seed",
+    "get_mechanism", "make_design", "replicate_rng",
     "PseudoTrueFit", "expected_loglik", "kl_gap", "kl_gap_lower_bound",
     "solve_mle", "solve_pseudo_true",
     "Assumption1Report", "CurvatureCertificate", "Ellipsoid", "certificate",

@@ -8,14 +8,14 @@ model class on purpose.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError
 from .families import TailBound, get_family
 
 
@@ -95,26 +95,37 @@ def make_design(n, d, kind, seed=0):
 # mechanisms
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class ResidualLaw:
+    """Responses around a mean vector: sample(m, rng) draws them, tail(m)
+    certifies the residuals y - m.  A GlmFamily is one too."""
+
+    sample: Callable
+    tail: Callable
+
+
+@dataclass(frozen=True, eq=False)
 class Mechanism:
-    """A data-generating truth: an analytic mean vector plus a residual law
-    (sampler and certified tail).
+    """A data-generating truth: the analytic mean inverse_link(X @ beta0)
+    plus a residual law (sampler and certified tail).
 
     The sampler and the tail certificate are functions of the mean vector
     alone, so a mechanism can also drive pipelines whose design differs
-    from the one that generated the mean (submodel comparisons).  By
-    default the residual law is that of the GlmFamily `response`."""
+    from the one that generated the mean (submodel comparisons)."""
 
-    name = "base"
-    response = None
+    name: str
+    beta0: np.ndarray
+    inverse_link: Callable = field(repr=False)
+    law: object = field(repr=False)  # a ResidualLaw or a GlmFamily
 
     def mean(self, X):
-        raise NotImplementedError
+        return self.inverse_link(X @ self.beta0)
 
     def draw_from_mean(self, m, rng):
-        return self.response.sample(m, rng)
+        return self.law.sample(m, rng)
 
     def tail_from_mean(self, m):
-        return self.response.tail(m)
+        return self.law.tail(m)
 
     def draw(self, X, rng):
         return self.draw_from_mean(self.mean(X), rng)
@@ -123,58 +134,34 @@ class Mechanism:
         return self.tail_from_mean(self.mean(X))
 
 
-class GlmTruth(Mechanism):
+def glm_truth(family, beta0):
     """Well-specified canonical GLM truth with parameter beta0."""
-
-    def __init__(self, family, beta0):
-        self.response = get_family(family) if isinstance(family, str) else family
-        self.beta0 = np.asarray(beta0, dtype=float)
-        self.name = f"glm-well-specified({self.response.name})"
-
-    def mean(self, X):
-        return np.asarray(self.response.a1(X @ self.beta0), dtype=float)
+    law = get_family(family) if isinstance(family, str) else family
+    return Mechanism(f"glm-well-specified({law.name})", np.asarray(beta0, dtype=float),
+                     law.a1, law)
 
 
 _erfc = np.vectorize(math.erfc, otypes=[float])
 
 
-class ProbitTruth(Mechanism):
+def probit_truth(beta0):
     """Bernoulli truth with a probit link: misspecified for the logistic model."""
-
-    name = "probit-truth"
-
-    def __init__(self, beta0):
-        self.beta0 = np.asarray(beta0, dtype=float)
-        self.response = get_family("logistic")  # Bernoulli responses
-
-    def mean(self, X):
-        return 0.5 * _erfc(-(X @ self.beta0) / math.sqrt(2.0))  # normal CDF
+    return Mechanism("probit-truth", np.asarray(beta0, dtype=float),
+                     lambda t: 0.5 * _erfc(-t / math.sqrt(2.0)),  # normal CDF
+                     get_family("logistic"))  # Bernoulli responses
 
 
-class NegBinTruth(Mechanism):
+def negbin_truth(beta0, size):
     """Negative-binomial truth with log link: overdispersed counts, the
     designated sub-exponential (non-sub-Gaussian) mechanism."""
+    r = float(size)
+    if r <= 0:
+        raise ConfigError("negbin size must be > 0")
 
-    name = "negbin-truth"
-
-    def __init__(self, beta0, size):
-        self.beta0 = np.asarray(beta0, dtype=float)
-        self.size = float(size)
-        if self.size <= 0:
-            raise ConfigError("negbin size must be > 0")
-
-    def mean(self, X):
-        return np.exp(X @ self.beta0)
-
-    def draw_from_mean(self, m, rng):
-        p = self.size / (self.size + m)
-        return rng.negative_binomial(self.size, p).astype(float)
-
-    def tail_from_mean(self, m):
+    def tail(m):
         # MGF of y - m is finite for s < log(1 + size/m); certify (nu, g) on
         # half that radius via a grid bound on 2*logMGF_centered(s)/s^2,
         # inflated 10% to absorb the grid.
-        r = self.size
         s_max = np.log1p(r / m)  # per-observation MGF radius
         g_i = 2.0 / s_max
         gbar = float(g_i.max())
@@ -187,101 +174,35 @@ class NegBinTruth(Mechanism):
             nu_sq = max(nu_sq, float(np.max(2 * log_mgf / s**2)))
         return TailBound("subexponential", nu=float(np.sqrt(1.1 * nu_sq)), gbar=gbar)
 
+    law = ResidualLaw(sample=lambda m, rng: rng.negative_binomial(r, r / (r + m)).astype(float),
+                      tail=tail)
+    return Mechanism("negbin-truth", np.asarray(beta0, dtype=float), np.exp, law)
 
-class HeteroGaussian(Mechanism):
-    """Gaussian truth with identity link and a per-observation sigma profile."""
 
-    name = "hetero-gaussian"
+def hetero_gaussian(beta0, sigmas):
+    """Gaussian truth with identity link and a per-observation sigma
+    profile, tiled across the observations."""
+    sigmas = np.atleast_1d(np.asarray(sigmas, dtype=float))
+    if sigmas.size == 0 or not np.all(sigmas >= 0):
+        raise ConfigError("sigma profile must be a non-empty list of nonnegative numbers")
 
-    def __init__(self, beta0, sigmas):
-        self.beta0 = np.asarray(beta0, dtype=float)
-        self.sigmas = np.atleast_1d(np.asarray(sigmas, dtype=float))
-        if np.any(self.sigmas < 0):
-            raise ConfigError("sigma profile must be nonnegative")
+    law = ResidualLaw(
+        sample=lambda m, rng: m + np.resize(sigmas, len(m)) * rng.standard_normal(len(m)),
+        tail=lambda m: TailBound("subgaussian", tau=float(sigmas.max())))
+    return Mechanism("hetero-gaussian", np.asarray(beta0, dtype=float), lambda t: t, law)
 
-    def _sigma_vec(self, n):
-        return np.resize(self.sigmas, n)
 
-    def mean(self, X):
-        return X @ self.beta0
-
-    def draw_from_mean(self, m, rng):
-        n = len(m)
-        return m + self._sigma_vec(n) * rng.standard_normal(n)
-
-    def tail_from_mean(self, m):
-        return TailBound("subgaussian", tau=float(self.sigmas.max()))
+_MECHANISMS = {"glm-well-specified": glm_truth, "probit-truth": probit_truth,
+               "negbin-truth": negbin_truth, "hetero-gaussian": hetero_gaussian}
 
 
 def get_mechanism(name, **params):
     """Resolve a mechanism identifier plus parameters to a Mechanism; a
     missing, unknown or wrongly typed parameter is a ConfigError."""
-    cls = {"glm-well-specified": GlmTruth, "probit-truth": ProbitTruth,
-           "negbin-truth": NegBinTruth, "hetero-gaussian": HeteroGaussian}.get(name)
-    if cls is None:
+    ctor = _MECHANISMS.get(name)
+    if ctor is None:
         raise ConfigError(f"unknown mechanism {name!r}")
     try:
-        return cls(**params)
+        return ctor(**params)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad parameters for mechanism {name!r}: {exc}")
-
-
-# ---------------------------------------------------------------------------
-# datasets
-# ---------------------------------------------------------------------------
-
-@dataclass
-class Dataset:
-    X: np.ndarray
-    y: np.ndarray
-    true_mean: np.ndarray
-    tau: float | None
-    mechanism: str
-    seed: int
-    tail: TailBound = field(repr=False, default=None)
-
-    def __post_init__(self):
-        n, d = self.X.shape
-        if not (n >= d >= 1):
-            raise ConfigError(f"need n >= d >= 1, got {self.X.shape}")
-        for name, v in (("X", self.X), ("y", self.y), ("true_mean", self.true_mean)):
-            if not np.all(np.isfinite(v)):
-                raise DomainError(f"non-finite entries in {name}")
-        if len(self.y) != n or len(self.true_mean) != n:
-            raise ConfigError("y / true_mean length mismatch with X")
-
-
-def simulate_truth(mechanism, X, params=None, seed=0):
-    """Draw a Dataset from a mechanism (identifier + params, or an instance).
-
-    true_mean is the mechanism's analytic mean; tau is a certified
-    sub-Gaussian parameter, or None when the mechanism is routed to the
-    sub-exponential tail (see the tail field).
-    """
-    if isinstance(mechanism, str):
-        mech = get_mechanism(mechanism, **(params or {}))
-    else:
-        mech = mechanism
-    X = np.asarray(X, dtype=float)
-    rng = derive_rng(seed, "simulate", mech.name)
-    tail = mech.tail(X)
-    return Dataset(
-        X=X,
-        y=mech.draw(X, rng),
-        true_mean=mech.mean(X),
-        tau=tail.tau if tail.kind == "subgaussian" else None,
-        mechanism=mech.name,
-        seed=int(seed),
-        tail=tail,
-    )
-
-
-def dataset_to_csv(ds, path):
-    """Write a dataset as CSV with columns y, true_mean, x1..xd."""
-    d = ds.X.shape[1]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["y", "true_mean"] + [f"x{j + 1}" for j in range(d)])
-        for i in range(ds.X.shape[0]):
-            w.writerow([format(ds.y[i], ".17g"), format(ds.true_mean[i], ".17g")]
-                       + [format(v, ".17g") for v in ds.X[i]])

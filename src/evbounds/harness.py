@@ -10,6 +10,7 @@ formatting, making reruns byte-identical.
 from __future__ import annotations
 
 import csv
+import inspect
 import json
 import math
 import numbers
@@ -20,7 +21,8 @@ import numpy as np
 
 from .bounds import compute_bounds
 from .curvature import certificate, default_ellipsoid
-from .datagen import derive_rng, derive_seed, make_design, get_mechanism, replicate_rng
+from .datagen import (_MECHANISMS, derive_rng, derive_seed, get_mechanism, make_design,
+                      replicate_rng)
 from .errors import (BoxError, ConfigError, EvboundsError, NumericalError,
                      ReliabilityError, SingularityError)
 from .families import get_family, log_likelihood_full
@@ -69,6 +71,20 @@ class ExperimentConfig:
     jobs: int = 1
     candidates: tuple = ()             # model comparison only
 
+    def __post_init__(self):
+        # checks every config passes, also one `replace` makes (CLI
+        # overrides, compare candidates)
+        if self.n_replicates < 1:
+            raise ConfigError(f"n_replicates must be at least 1, got {self.n_replicates!r}")
+        if not self.c1 > 0:
+            raise ConfigError(f"c1 must be positive, got {self.c1!r}")
+        for n in self.n_grid or ():
+            if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+                raise ConfigError(f"n_grid entries must be positive integers, got {n!r}")
+        for cand in self.candidates:
+            if not isinstance(cand, dict) or "name" not in cand:
+                raise ConfigError(f"a candidate must be an object with a name, got {cand!r}")
+
     # -- flat key-value (de)serialization: nested dicts use dotted keys -----
 
     _NESTED = ("mechanism", "prior")
@@ -76,25 +92,24 @@ class ExperimentConfig:
     @classmethod
     def from_flat(cls, flat):
         kwargs = {}
-        mech_params, prior_params = {}, {}
-        valid = set(cls.__dataclass_fields__)
+        nested = {name: {} for name in cls._NESTED}
         for key, value in flat.items():
             _check_finite(key, value)
-            if key.startswith("mechanism."):
-                mech_params[key.split(".", 1)[1]] = value
-            elif key.startswith("prior."):
-                prior_params[key.split(".", 1)[1]] = value
+            name, dot, param = key.partition(".")
+            if dot and name in nested:
+                nested[name][param] = value
             elif key in ("n_grid", "candidates"):
+                if value is not None and not isinstance(value, list):
+                    raise ConfigError(f"config key {key!r} must be a list, got {value!r}")
                 kwargs[key] = tuple(value) if value is not None else None
-            elif key in valid:
+            elif key in cls.__dataclass_fields__:
                 _check_type(key, value, cls.__dataclass_fields__[key].type)
                 kwargs[key] = value
             else:
                 raise ConfigError(f"unknown config key {key!r}")
-        if mech_params:
-            kwargs["mechanism_params"] = mech_params
-        if prior_params:
-            kwargs["prior_params"] = prior_params
+        for name, params in nested.items():
+            if params:
+                kwargs[f"{name}_params"] = params
         cfg = cls(**kwargs)
         cfg.resolve_d(cfg.n)  # validate d/d_rule early
         return cfg
@@ -102,18 +117,13 @@ class ExperimentConfig:
     def to_flat(self):
         out = {}
         for key, value in asdict(self).items():
-            if key == "mechanism_params":
-                for pk, pv in value.items():
-                    out[f"mechanism.{pk}"] = pv
-            elif key == "prior_params":
-                for pk, pv in value.items():
-                    out[f"prior.{pk}"] = pv
+            if key.endswith("_params"):
+                out.update((f"{key.removesuffix('_params')}.{pk}", pv) for pk, pv in value.items())
             elif key in ("n_grid", "candidates"):
                 if value:
                     out[key] = list(value)
-            elif value != self.__dataclass_fields__[key].default:
-                out[key] = value
-            elif key in ("family", "mechanism", "n", "master_seed"):
+            elif (value != self.__dataclass_fields__[key].default
+                  or key in ("family", "mechanism", "n", "master_seed")):
                 out[key] = value
         return out
 
@@ -126,7 +136,10 @@ class ExperimentConfig:
             rule = self.d_rule.strip()
             if not rule.startswith("n^"):
                 raise ConfigError(f"unsupported d_rule {self.d_rule!r}; use 'n^<exponent>'")
-            return int(math.ceil(n ** float(rule[2:])))
+            try:
+                return int(math.ceil(n ** float(rule[2:])))
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ConfigError(f"bad d_rule {self.d_rule!r} at n = {n!r}: {exc}")
         raise ConfigError("config needs d or d_rule")
 
 
@@ -232,8 +245,9 @@ class PipelineContext:
 
 def _build_mechanism(config, d):
     params = dict(config.mechanism_params)
-    if config.mechanism == "glm-well-specified":
-        params.setdefault("family", config.family)
+    truth = _MECHANISMS.get(config.mechanism)
+    if truth is not None and "family" in inspect.signature(truth).parameters:
+        params.setdefault("family", config.family)  # a truth's family defaults to the fitted one
     scale = params.pop("beta0_scale", None)
     if "beta0" not in params and scale is not None:
         try:
@@ -257,26 +271,26 @@ def _check_columns(columns, d):
     return cols
 
 
-def build_context(config, n=None, d=None, columns=None):
+def build_context(config, n=None, d=None):
     """The one pipeline builder: design, truth, true mean, pseudo-true fit
     and localization ellipsoid at n (default config.n) and d (default from
     the config); the certificate, prior, prior extremes, process constants
-    and zero-anchored report when first read (see PipelineContext).  With
-    `columns` the model is fitted on those design columns while the truth
-    generates from the whole design (a submodel)."""
+    and zero-anchored report when first read (see PipelineContext)."""
     n = int(n if n is not None else config.n)
     d = int(d if d is not None else config.resolve_d(n))
     X = make_design(n, d, config.design, seed=derive_seed(config.master_seed, "design", n, d))
     mech = _build_mechanism(config, d)
-    true_mean = mech.mean(X)
-    if columns is not None:
-        X = X[:, _check_columns(columns, d)]
-        d = X.shape[1]
+    return _fitted_context(config, X, mech, mech.mean(X))
+
+
+def _fitted_context(config, X, mechanism, true_mean):
+    """The pipeline of `config` fitted on the design X to a given truth;
+    X may hold a subset of the columns the truth generated from."""
     family = get_family(config.family)
     fit = solve_pseudo_true(family, X, true_mean)
-    ell = default_ellipsoid(fit.beta_star, n, config.c1)
-    return PipelineContext(config=config, n=n, d=d, family=family, X=X, mechanism=mech,
-                           true_mean=true_mean, fit=fit, ell=ell)
+    ell = default_ellipsoid(fit.beta_star, X.shape[0], config.c1)
+    return PipelineContext(config=config, n=X.shape[0], d=X.shape[1], family=family, X=X,
+                           mechanism=mechanism, true_mean=true_mean, fit=fit, ell=ell)
 
 
 def _resolve_oracle(config, d):
@@ -629,9 +643,6 @@ def run_model_compare(config):
         raise ConfigError("model comparison needs a candidates list")
     base = build_context(config)
     y = base.mechanism.draw(base.X, derive_rng(config.master_seed, "compare"))
-    # a candidate may refit with another family; the truth stays the base one
-    truth = {"family": config.family} if config.mechanism == "glm-well-specified" else {}
-    mechanism_params = {**truth, **config.mechanism_params}
 
     rows = []
     for cand in config.candidates:
@@ -647,12 +658,14 @@ def run_model_compare(config):
                          "prior_extremes", "c_source", "calib_reps",
                          "delta_tilde", "n_nodes_per_dim", "box_halfwidth",
                          "n_draws", "sigma"):
+                _check_type(key, value, ExperimentConfig.__dataclass_fields__[key].type)
                 overrides[key] = value
             else:
                 raise ConfigError(f"unknown candidate key {key!r}")
-        sub = replace(config, prior_params=prior_params,
-                      mechanism_params=mechanism_params, **overrides)
-        ctx = build_context(sub, columns=cols)
+        sub = replace(config, prior_params=prior_params, **overrides)
+        # a candidate may refit with another family; design and truth stay the base ones
+        X = base.X if cols is None else base.X[:, _check_columns(cols, base.d)]
+        ctx = _fitted_context(sub, X, base.mechanism, base.true_mean)
         report = compute_bounds(ctx.fit, log_likelihood_full(ctx.family, ctx.X, y,
                                                              ctx.fit.beta_star),
                                 ctx.cert, ctx.proc, ctx.prior_ext, ctx.ell,

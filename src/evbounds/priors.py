@@ -44,12 +44,21 @@ class Prior:
     d2: Callable = field(repr=False)
     kinks: tuple = ()
     shape_h: Callable | None = field(repr=False, default=None)
-    shape_kappa: float | None = None
     lipschitz_D: float | None = None
     # cap on the per-coordinate prior precision reported in mode curvature;
     # a kinked density has unbounded smoothed |d2| at the kink, which would
     # otherwise collapse curvature-matched proposal covariances
     curvature_cap: float | None = None
+    # per-coordinate interval (lo, hi) where the density is positive
+    support: tuple = (-math.inf, math.inf)
+    # the density is constant on its support, so its extremes over any set
+    # inside the support are exact under every method and metric
+    flat: bool = False
+    # closed forms over a Euclidean ball ||beta - m|| <= rho, each
+    # (m, rho) -> (log_sup, log_inf): exact extremes, and a valid envelope
+    # sharper than the per-coordinate box
+    ball_extremes: Callable | None = field(repr=False, default=None)
+    ball_envelope: Callable | None = field(repr=False, default=None)
 
 
 def laplace_product(kappa=1.0):
@@ -65,14 +74,29 @@ def laplace_product(kappa=1.0):
     def d2(x):
         return -kappa * eps * eps / (x * x + eps * eps) ** 1.5
 
+    log_normalizer = float(np.log(kappa / 2.0))
+
+    def ball_envelope(m, rho):
+        # triangle-inequality envelope on the l1 norm; its inf is exact, as
+        # the l1 norm is largest at m + rho * sign(m) / sqrt(d)
+        l1 = float(np.abs(m).sum())
+        slack = np.sqrt(len(m)) * rho
+        base = len(m) * log_normalizer
+        return (base - kappa * max(0.0, l1 - slack), base - kappa * (l1 + slack))
+
+    def ball_extremes(m, rho):
+        return (len(m) * log_normalizer - kappa * _min_l1_on_ball(m, rho),
+                ball_envelope(m, rho)[1])
+
     return Prior(
         kind="laplace-product",
         params={"kappa": kappa},
-        log_normalizer=float(np.log(kappa / 2.0)),
+        log_normalizer=log_normalizer,
         logpdf=lambda x: np.log(kappa / 2.0) - kappa * np.abs(x),
         d1=d1, d2=d2, kinks=(0.0,),
-        shape_h=np.abs, shape_kappa=kappa, lipschitz_D=1.0,
+        shape_h=np.abs, lipschitz_D=1.0,
         curvature_cap=2.0 * kappa**2,
+        ball_extremes=ball_extremes, ball_envelope=ball_envelope,
     )
 
 
@@ -82,6 +106,14 @@ def gaussian_product(tau_p=1.0):
     if tau_p <= 0:
         raise ConfigError("tau_p must be positive")
     c = -0.5 * np.log(2 * np.pi * tau_p**2)
+
+    def ball_extremes(m, rho):
+        r0 = np.linalg.norm(m)
+        r_min = max(0.0, r0 - rho)
+        r_max = r0 + rho
+        base = len(m) * float(c)
+        return (base - r_min**2 / (2 * tau_p**2), base - r_max**2 / (2 * tau_p**2))
+
     return Prior(
         kind="gaussian-product",
         params={"tau_p": tau_p},
@@ -89,6 +121,7 @@ def gaussian_product(tau_p=1.0):
         logpdf=lambda x: c - x * x / (2 * tau_p**2),
         d1=lambda x: -x / tau_p**2,
         d2=lambda x: -np.ones_like(np.asarray(x, dtype=float)) / tau_p**2,
+        ball_extremes=ball_extremes,
     )
 
 
@@ -125,7 +158,7 @@ def uniform_box(a=-1.0, b=1.0):
 
     zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
     return Prior(kind="uniform-box", params={"a": a, "b": b}, log_normalizer=float(c),
-                 logpdf=logpdf, d1=zero, d2=zero, kinks=(a, b))
+                 logpdf=logpdf, d1=zero, d2=zero, kinks=(a, b), support=(a, b), flat=True)
 
 
 _REGISTRY = {
@@ -184,66 +217,46 @@ def _min_l1_on_ball(m, rho):
     return float(np.sum(am - np.minimum(am, t_star)))
 
 
-def _max_l1_on_ball(m, rho):
-    """Exact max: align signs, push the diagonal vertex."""
-    return float(np.abs(m).sum() + rho * np.sqrt(len(m)))
+def _coordinate_box(prior, ell):
+    """The per-coordinate ranges (lo, hi) of the ellipsoid, refused unless
+    the prior's support holds them (positivity on the set)."""
+    hw = ell.coordinate_halfwidths()
+    lo = ell.center - hw
+    hi = ell.center + hw
+    if np.any(lo < prior.support[0]) or np.any(hi > prior.support[1]):
+        raise DomainError(
+            f"{prior.kind} prior is zero on part of the localization set; "
+            "positivity on the set is required")
+    return lo, hi
 
 
 def _box_envelope(prior, ell):
     """Per-coordinate box envelope: valid for any product prior whose 1-d
     density is unimodal at 0 (all shipped ones).  Box contains the ellipsoid,
     so sup(box) >= sup(ell); per-coordinate worst corners bound the inf."""
-    hw = ell.coordinate_halfwidths()
-    lo = ell.center - hw
-    hi = ell.center + hw
+    lo, hi = _coordinate_box(prior, ell)
     closest = np.clip(0.0, lo, hi)          # point of the box nearest the mode
     log_sup = float(np.sum(prior.logpdf(closest)))
     log_inf = float(np.sum(np.minimum(prior.logpdf(lo), prior.logpdf(hi))))
     return log_sup, log_inf
 
 
-def _require_box_support(prior, ell):
-    a, b = prior.params["a"], prior.params["b"]
-    hw = ell.coordinate_halfwidths()
-    if np.any(ell.center - hw < a) or np.any(ell.center + hw > b):
-        raise DomainError(
-            "uniform-box prior is zero on part of the localization set; "
-            "positivity on the set is required")
-
-
 def _analytic_extremes(prior, ell):
     rho = _spherical_rho(ell)
-    m = ell.center
-    d = ell.d
     if rho is None:
         raise ConfigError(
             "analytic extremes need a spherical metric (W = s*I); "
             "use method='conservative' or 'numeric'")
-    if prior.kind == "laplace-product":
-        kappa = prior.params["kappa"]
-        base = d * prior.log_normalizer
-        return (base - kappa * _min_l1_on_ball(m, rho),
-                base - kappa * _max_l1_on_ball(m, rho))
-    if prior.kind == "gaussian-product":
-        tau = prior.params["tau_p"]
-        r0 = np.linalg.norm(m)
-        r_min = max(0.0, r0 - rho)
-        r_max = r0 + rho
-        base = d * prior.log_normalizer
-        return (base - r_min**2 / (2 * tau**2), base - r_max**2 / (2 * tau**2))
-    raise ConfigError(
-        f"no closed-form extremes for {prior.kind!r}; use method='numeric'")
+    if prior.ball_extremes is None:
+        raise ConfigError(
+            f"no closed-form extremes for {prior.kind!r}; use method='numeric'")
+    return prior.ball_extremes(ell.center, rho)
 
 
 def _conservative_extremes(prior, ell):
     rho = _spherical_rho(ell)
-    if prior.kind == "laplace-product" and rho is not None:
-        # triangle-inequality envelope on the l1 norm
-        kappa = prior.params["kappa"]
-        l1 = float(np.abs(ell.center).sum())
-        slack = np.sqrt(ell.d) * rho
-        base = ell.d * prior.log_normalizer
-        return (base - kappa * max(0.0, l1 - slack), base - kappa * (l1 + slack))
+    if prior.ball_envelope is not None and rho is not None:
+        return prior.ball_envelope(ell.center, rho)
     return _box_envelope(prior, ell)
 
 
@@ -307,8 +320,8 @@ def extremes_over_ball(prior, ell, method="conservative"):
                "numeric": _numeric_extremes}
     if method not in methods:
         raise ConfigError(f"unknown extremes method {method!r}")
-    if prior.kind == "uniform-box":  # constant on its box: every method is exact
-        _require_box_support(prior, ell)
+    _coordinate_box(prior, ell)  # positivity on the set, for every support
+    if prior.flat:  # constant on its support: every method is exact
         log_sup = log_inf = ell.d * prior.log_normalizer
     else:
         log_sup, log_inf = methods[method](prior, ell)

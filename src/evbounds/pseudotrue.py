@@ -100,7 +100,7 @@ def _cho_solve(L, b):
 
 def newton_ascent(family, X, target, tol_grad, max_iter=MAX_ITER, prior=None):
     """Maximize target'X beta - A(beta) [+ log prior(beta)] by damped
-    Newton ascent from beta = 0 (clamped into a uniform box).
+    Newton ascent from beta = 0 (clamped into the prior's support).
 
     target is Ey (pseudo-true fit) or y (MLE, posterior mode).  The prior
     enters the Newton system as in `_with_prior` (its -Hessian lifted if it
@@ -113,8 +113,8 @@ def newton_ascent(family, X, target, tol_grad, max_iter=MAX_ITER, prior=None):
     False); without one the optimum is at infinity: NonConvergenceError.
     """
     beta = np.zeros(X.shape[1])
-    if prior is not None and prior.kind == "uniform-box":
-        beta = np.clip(beta, prior.params["a"], prior.params["b"])
+    if prior is not None:
+        beta = np.clip(beta, *prior.support)
     kinks = () if prior is None else prior.kinks
 
     def value_at(t, b):

@@ -6,15 +6,11 @@ from scipy.special import ndtr
 
 from evbounds import (
     ConfigError,
-    Dataset,
-    DomainError,
-    dataset_to_csv,
     derive_rng,
     derive_seed,
     get_mechanism,
     make_design,
     replicate_rng,
-    simulate_truth,
 )
 
 
@@ -131,33 +127,3 @@ def test_mechanism_draw_means_match_analytic_mean():
 def test_unknown_mechanism_raises():
     with pytest.raises(ConfigError):
         get_mechanism("cauchy-truth", beta0=[0.0])
-
-
-def test_simulate_truth_dataset_and_csv_round_trip(tmp_path):
-    X = make_design(30, 2, "uniform", seed=4)
-    ds = simulate_truth("glm-well-specified", X,
-                        params={"family": "gaussian", "beta0": [0.5, -0.5]}, seed=11)
-    assert ds.tau == 1.0 and ds.tail.kind == "subgaussian"
-    ds2 = simulate_truth("glm-well-specified", X,
-                         params={"family": "gaussian", "beta0": [0.5, -0.5]}, seed=11)
-    assert np.array_equal(ds.y, ds2.y)
-
-    sub = simulate_truth("negbin-truth", X, params={"beta0": [0.1, 0.1], "size": 2.0})
-    assert sub.tau is None and sub.tail.kind == "subexponential"
-
-    path = tmp_path / "ds.csv"
-    dataset_to_csv(ds, path)
-    rows = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert rows.shape == (30, 4)
-    assert np.allclose(rows[:, 0], ds.y, rtol=0, atol=0)
-    assert np.allclose(rows[:, 2:], X, rtol=0, atol=0)
-
-
-def test_dataset_validation():
-    X = np.ones((3, 1))
-    with pytest.raises(DomainError):
-        Dataset(X=X, y=np.array([1.0, np.nan, 0.0]), true_mean=np.ones(3),
-                tau=1.0, mechanism="m", seed=0)
-    with pytest.raises(ConfigError):
-        Dataset(X=X, y=np.ones(2), true_mean=np.ones(3), tau=1.0,
-                mechanism="m", seed=0)

@@ -477,6 +477,28 @@ def test_cli_exit_code_config_error_nested_parameter(tmp_path, capsys, extra):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flat", [
+    ("bounds", _conjugate_flat(d=None, d_rule="n^abc")),
+    ("bounds", _conjugate_flat(d=None, d_rule="n^1e400")),
+    ("concentration", dict(_concentration_flat(4.0), n_grid=["a"])),
+    ("bic-scan", _conjugate_flat(n_grid=[100, "x"])),
+    ("bic-scan", _conjugate_flat(n_grid=100)),
+    ("coverage", _conjugate_flat(n_replicates=0)),
+    ("coverage", _conjugate_flat(n_replicates=-3)),
+    ("bounds", _conjugate_flat(c1=-4)),
+    ("bounds", _conjugate_flat(**{"mechanism": "hetero-gaussian", "mechanism.sigmas": []})),
+    ("compare", _compare_flat([1])),
+    ("compare", _compare_flat([{"name": "a"}, {"columns": [0]}])),
+    ("compare", _compare_flat([{"name": "a", "c1": "big"}])),
+])
+def test_cli_exit_code_config_error_bad_value(tmp_path, capsys, command, flat):
+    # each of these used to end in a traceback or to exit 0 with a
+    # meaningless result
+    path = _write_cfg(tmp_path, flat)
+    assert main([command, "--config", path]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("key, value", [("c1", "Infinity"), ("c1", "NaN"),
                                         ("prior.tau_p", "NaN")])
 def test_cli_exit_code_config_error_non_finite_number(tmp_path, capsys, key, value):
@@ -557,3 +579,25 @@ def test_cli_curvature_interval_table(tmp_path, capsys):
     lines = csv_path.read_text().splitlines()
     assert lines[1].split(",")[:3] == ["i", "t_lo", "t_hi"]
     assert len(lines) == 2 + 50  # one row per observation
+
+
+def test_benchmark_tracer_targets_resolve():
+    # the benchmark's tracer patches these names; a function or method that
+    # moves would silently drop its span, so every target must resolve, a
+    # method in its class's own __dict__
+    import importlib
+    import importlib.util
+    import pathlib
+
+    path = pathlib.Path(__file__).resolve().parents[1] / "evbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("evbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for name, (module, attr, _) in tracer.TARGETS.items():
+        mod = importlib.import_module(f"evbounds.{module}")
+        if "." in attr:
+            cls_name, meth = attr.split(".")
+            assert callable(vars(getattr(mod, cls_name)).get(meth)), name
+        else:
+            assert callable(getattr(mod, attr, None)), name
+    assert callable(importlib.import_module("evbounds.oracles").log_posterior_unnorm)
