@@ -73,8 +73,7 @@ class BoundsReport:
 
 
 def compute_bounds(fit, loglik_at_star, cert, proc, prior_ext, ell, eta=0.05,
-                   delta=0.05, assumption1_checked=False, prob_method="eigen-series",
-                   mle_log_lik=None):
+                   delta=0.05, assumption1_checked=False, mle_log_lik=None):
     """Assemble the sandwich from independently built certificates.
 
     Parameters mirror the pipeline: `fit` the pseudo-true fit (its center
@@ -86,6 +85,9 @@ def compute_bounds(fit, loglik_at_star, cert, proc, prior_ext, ell, eta=0.05,
     `mle_log_lik` optionally records the sample-MLE log-likelihood; the
     report then carries the documented gap mle_log_lik - loglik_at_star
     as metadata (the bounds themselves stay anchored at beta*).
+
+    Inconsistent ingredients (e.g. a negative C) can put the lower bound
+    above the upper one; that is refused as a NumericalError.
     """
     if fit is not None and not np.allclose(fit.beta_star, ell.center, atol=1e-9):
         raise ConfigError("ellipsoid must be centered at the fitted beta*")
@@ -105,8 +107,8 @@ def compute_bounds(fit, loglik_at_star, cert, proc, prior_ext, ell, eta=0.05,
     W_half = ell.W_sqrt
     M = W_half @ np.linalg.solve(cert.H, W_half)
     M = (M + M.T) / 2
-    p1 = prob_ball(M, ell.threshold, method=prob_method)
-    p2 = prob_ball(M, ell.threshold / c, method=prob_method)
+    p1 = prob_ball(M, ell.threshold)
+    p2 = prob_ball(M, ell.threshold / c)
     if p1.p <= 0.0 or p2.p <= 0.0:
         raise NumericalError(
             "Gaussian mass of the localization set underflows; R is too "
@@ -130,13 +132,17 @@ def compute_bounds(fit, loglik_at_star, cert, proc, prior_ext, ell, eta=0.05,
     skeleton = loglik_at_star - log_det_H / 2.0
     upper = skeleton + sum(terms_upper.values())
     lower = skeleton + sum(terms_lower.values())
+    if not lower <= upper:  # NaN included
+        raise NumericalError(
+            f"lower bound {lower!r} is not below upper bound {upper!r}; "
+            f"the ingredients are inconsistent (C = {C!r})")
 
     validity = {
         "c_in_range": bool(0.5 < c <= 1.0),
         "eta_in_range": bool(0 < eta < 0.25 and 0 < delta < 0.25
                              and 0 < proc.delta_tilde < 0.25),
         # a Monte-Carlo set mass carries a standard error, not a certificate
-        "set_mass_certified": p1.method == "eigen-series" and p2.method == "eigen-series",
+        "set_mass_certified": "monte-carlo" not in (p1.method, p2.method),
         "assumption1_checked": bool(assumption1_checked),
         "assumption2_source": proc.source,
     }

@@ -51,7 +51,6 @@ class ExperimentConfig:
     n_grid: tuple | None = None        # for bic-scan / concentration
     prior: str = "gaussian-product"
     prior_params: dict = field(default_factory=dict)
-    prior_extremes: str = "conservative"
     c1: float = 4.0
     c_source: str = "empirical-quantile"
     k0: float = 8.0
@@ -62,7 +61,6 @@ class ExperimentConfig:
     calib_reps: int = 400
     n_replicates: int = 100
     oracle: str = "auto"               # conjugate | quadrature | importance | auto
-    sigma: float = 1.0                 # conjugate oracle noise scale
     box_halfwidth: float = 12.0
     n_nodes_per_dim: int = 32
     n_draws: int = 20_000
@@ -76,8 +74,9 @@ class ExperimentConfig:
         # overrides, compare candidates)
         if self.n_replicates < 1:
             raise ConfigError(f"n_replicates must be at least 1, got {self.n_replicates!r}")
-        if not self.c1 > 0:
-            raise ConfigError(f"c1 must be positive, got {self.c1!r}")
+        for key in ("c1", "k0", "nu"):
+            if not getattr(self, key) > 0:
+                raise ConfigError(f"{key} must be positive, got {getattr(self, key)!r}")
         for n in self.n_grid or ():
             if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
                 raise ConfigError(f"n_grid entries must be positive integers, got {n!r}")
@@ -212,7 +211,7 @@ class PipelineContext:
 
     @cached_property
     def prior_ext(self):
-        return extremes_over_ball(self.prior, self.ell, self.config.prior_extremes)
+        return extremes_over_ball(self.prior, self.ell)
 
     @cached_property
     def proc(self):
@@ -310,8 +309,8 @@ def _run_oracle(ctx, y, replicate):
         if config.family != "gaussian" or config.prior != "gaussian-product":
             raise ConfigError("conjugate oracle needs the gaussian family with "
                               "a gaussian-product prior")
-        tau_p = ctx.prior.params["tau_p"]
-        return conjugate_log_z(ctx.X, y, config.sigma, tau_p)
+        # the gaussian family has unit noise scale
+        return conjugate_log_z(ctx.X, y, 1.0, ctx.prior.params["tau_p"])
     if method == "quadrature":
         if ctx.quad_grid is not None:
             try:
@@ -655,9 +654,8 @@ def run_model_compare(config):
             if key.startswith("prior."):
                 prior_params[key.split(".", 1)[1]] = value
             elif key in ("family", "prior", "c1", "eta", "delta", "oracle",
-                         "prior_extremes", "c_source", "calib_reps",
-                         "delta_tilde", "n_nodes_per_dim", "box_halfwidth",
-                         "n_draws", "sigma"):
+                         "c_source", "calib_reps", "delta_tilde",
+                         "n_nodes_per_dim", "box_halfwidth", "n_draws"):
                 _check_type(key, value, ExperimentConfig.__dataclass_fields__[key].type)
                 overrides[key] = value
             else:

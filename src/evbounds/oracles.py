@@ -161,11 +161,15 @@ def _panel_nodes(lo, hi, interior_kinks, n_nodes):
     return np.concatenate(nodes), np.concatenate(logw)
 
 
-def _check_quadrature_args(d, box_halfwidth):
+def _check_quadrature_args(d, box_halfwidth, n_nodes_per_dim):
     if d > 3:
         raise CapabilityError("tensor quadrature supports d <= 3; use importance_log_z")
     if box_halfwidth < 12:
         raise ConfigError("box_halfwidth must be >= 12 posterior sd units")
+    # _panel_nodes gives each panel at least 8 nodes, so below 8 the first
+    # two levels coincide and would pass the node-doubling check uncompared
+    if n_nodes_per_dim < 8:
+        raise ConfigError(f"n_nodes_per_dim must be at least 8, got {n_nodes_per_dim!r}")
 
 
 class QuadratureGrid:
@@ -184,7 +188,7 @@ class QuadratureGrid:
                  n_nodes_per_dim=32):
         self.X = np.asarray(X, dtype=float)
         d = self.X.shape[1]
-        _check_quadrature_args(d, box_halfwidth)
+        _check_quadrature_args(d, box_halfwidth, n_nodes_per_dim)
         self._rows, self._counts = _distinct_rows(self.X)
         L = _cholesky(curvature + 1e-12 * np.trace(curvature) / d * np.eye(d),
                       error="posterior curvature not positive definite at the centre")
@@ -271,7 +275,7 @@ def quadrature_log_z(family, X, y, prior, box_halfwidth=12.0, n_nodes_per_dim=32
     design, build one QuadratureGrid and call its `log_z`.
     """
     X = np.asarray(X, dtype=float)
-    _check_quadrature_args(X.shape[1], box_halfwidth)
+    _check_quadrature_args(X.shape[1], box_halfwidth, n_nodes_per_dim)
     mode, curv = posterior_mode(family, X, y, prior)
     grid = QuadratureGrid(family, X, prior, mode, curv, box_halfwidth, n_nodes_per_dim)
     return grid.log_z(y)

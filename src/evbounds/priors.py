@@ -1,17 +1,14 @@
 """Product priors and their certified extremes over the localization set.
 
 Bound assembly needs sup and inf of the prior density over an ellipsoid.
-Three routes with increasing sharpness:
+`extremes_over_ball` gives one certified pair, the sharpest the inputs
+allow:
 
-  conservative -- closed-form envelopes that are always valid (triangle
-      inequality for the Laplace product, per-coordinate boxes otherwise);
-      the default inside bound assembly, since over-estimating the sup and
-      under-estimating the inf keeps both bounds valid.
-  analytic     -- exact values where the geometry allows a closed form
-      (Laplace and Gaussian products over spherical metrics, uniform boxes).
-  numeric      -- constrained maximization on the ellipsoid (multi-start
-      SLSQP in the unit-ball parametrization), for priors/metrics with no
-      closed form; refines the conservative bracket.
+  a flat prior     -- its constant, exact over any set inside its support;
+  a closed form    -- exact extremes over a Euclidean ball, for a prior with
+      `ball_extremes` (Laplace and Gaussian products) on a spherical metric;
+  anything else    -- the per-coordinate box envelope, valid for every
+      product prior whose 1-d density is unimodal at 0 (all shipped ones).
 """
 
 from __future__ import annotations
@@ -52,13 +49,11 @@ class Prior:
     # per-coordinate interval (lo, hi) where the density is positive
     support: tuple = (-math.inf, math.inf)
     # the density is constant on its support, so its extremes over any set
-    # inside the support are exact under every method and metric
+    # inside the support are exact
     flat: bool = False
-    # closed forms over a Euclidean ball ||beta - m|| <= rho, each
-    # (m, rho) -> (log_sup, log_inf): exact extremes, and a valid envelope
-    # sharper than the per-coordinate box
+    # exact extremes over a Euclidean ball ||beta - m|| <= rho:
+    # (m, rho) -> (log_sup, log_inf)
     ball_extremes: Callable | None = field(repr=False, default=None)
-    ball_envelope: Callable | None = field(repr=False, default=None)
 
 
 def laplace_product(kappa=1.0):
@@ -76,17 +71,13 @@ def laplace_product(kappa=1.0):
 
     log_normalizer = float(np.log(kappa / 2.0))
 
-    def ball_envelope(m, rho):
-        # triangle-inequality envelope on the l1 norm; its inf is exact, as
-        # the l1 norm is largest at m + rho * sign(m) / sqrt(d)
+    def ball_extremes(m, rho):
+        # the l1 norm is largest at m + rho * sign(m) / sqrt(d), where the
+        # triangle inequality ||beta||_1 <= ||m||_1 + sqrt(d) rho is attained
         l1 = float(np.abs(m).sum())
         slack = np.sqrt(len(m)) * rho
         base = len(m) * log_normalizer
-        return (base - kappa * max(0.0, l1 - slack), base - kappa * (l1 + slack))
-
-    def ball_extremes(m, rho):
-        return (len(m) * log_normalizer - kappa * _min_l1_on_ball(m, rho),
-                ball_envelope(m, rho)[1])
+        return (base - kappa * _min_l1_on_ball(m, rho), base - kappa * (l1 + slack))
 
     return Prior(
         kind="laplace-product",
@@ -96,7 +87,7 @@ def laplace_product(kappa=1.0):
         d1=d1, d2=d2, kinks=(0.0,),
         shape_h=np.abs, lipschitz_D=1.0,
         curvature_cap=2.0 * kappa**2,
-        ball_extremes=ball_extremes, ball_envelope=ball_envelope,
+        ball_extremes=ball_extremes,
     )
 
 
@@ -205,16 +196,22 @@ def _spherical_rho(ell):
 
 
 def _min_l1_on_ball(m, rho):
-    """Exact min of ||beta||_1 over ||beta - m|| <= rho (soft threshold)."""
-    am = np.abs(m)
-    if np.linalg.norm(m) <= rho:
+    """Exact min of ||beta||_1 over ||beta - m|| <= rho: the soft threshold
+    that shrinks each |m_j| by min(|m_j|, t), the steepest l1 descent per
+    unit of l2 budget, with t the root of sum_j min(|m_j|, t)^2 = rho^2.
+    With |m| sorted, a_1 <= ... <= a_d, the left side is S_k + (d - k) t^2
+    for t in [a_k, a_{k+1}], S_k = a_1^2 + ... + a_k^2, so t is the root
+    of that quadratic on the segment where rho^2 falls."""
+    a = np.sort(np.abs(np.asarray(m, dtype=float)))
+    d = len(a)
+    sq = np.cumsum(a * a)
+    if sq[-1] <= rho * rho:
         return 0.0
-    # find t with sum min(|m_j|, t)^2 = rho^2; decreasing each |m_j| by
-    # min(|m_j|, t) is the steepest l1 descent per unit of l2 budget
-    from scipy.optimize import brentq  # deferred: scipy.optimize is slow to import
-    f = lambda t: float(np.sum(np.minimum(am, t) ** 2) - rho * rho)
-    t_star = brentq(f, 0.0, float(am.max()), xtol=1e-15, rtol=1e-15)
-    return float(np.sum(am - np.minimum(am, t_star)))
+    # the left side at t = a_k, k = 1..d; nondecreasing, and above rho^2 at k = d
+    at_breaks = sq + (d - np.arange(1, d + 1)) * a * a
+    k = int(np.searchsorted(at_breaks, rho * rho, side="right"))
+    t = np.sqrt(max(rho * rho - (sq[k - 1] if k else 0.0), 0.0) / (d - k))
+    return float(np.sum(a[k:] - t))
 
 
 def _coordinate_box(prior, ell):
@@ -230,104 +227,26 @@ def _coordinate_box(prior, ell):
     return lo, hi
 
 
-def _box_envelope(prior, ell):
-    """Per-coordinate box envelope: valid for any product prior whose 1-d
-    density is unimodal at 0 (all shipped ones).  Box contains the ellipsoid,
-    so sup(box) >= sup(ell); per-coordinate worst corners bound the inf."""
-    lo, hi = _coordinate_box(prior, ell)
+def extremes_over_ball(prior, ell):
+    """(log_sup, log_inf) of the prior density over the ellipsoid.
+
+    Exact for a flat prior, and for a prior with closed-form ball extremes
+    on a spherical metric (W = s*I).  Otherwise the per-coordinate box
+    envelope: the box holds the ellipsoid, so its sup bounds the set's, and
+    with a density unimodal at 0 the worse end of each coordinate's range
+    bounds the inf.
+    """
+    lo, hi = _coordinate_box(prior, ell)  # positivity on the set, for every support
+    if prior.flat:
+        return (float(ell.d * prior.log_normalizer),) * 2
+    rho = _spherical_rho(ell)
+    if prior.ball_extremes is not None and rho is not None:
+        log_sup, log_inf = prior.ball_extremes(ell.center, rho)
+        return float(log_sup), float(log_inf)
     closest = np.clip(0.0, lo, hi)          # point of the box nearest the mode
     log_sup = float(np.sum(prior.logpdf(closest)))
     log_inf = float(np.sum(np.minimum(prior.logpdf(lo), prior.logpdf(hi))))
     return log_sup, log_inf
-
-
-def _analytic_extremes(prior, ell):
-    rho = _spherical_rho(ell)
-    if rho is None:
-        raise ConfigError(
-            "analytic extremes need a spherical metric (W = s*I); "
-            "use method='conservative' or 'numeric'")
-    if prior.ball_extremes is None:
-        raise ConfigError(
-            f"no closed-form extremes for {prior.kind!r}; use method='numeric'")
-    return prior.ball_extremes(ell.center, rho)
-
-
-def _conservative_extremes(prior, ell):
-    rho = _spherical_rho(ell)
-    if prior.ball_envelope is not None and rho is not None:
-        return prior.ball_envelope(ell.center, rho)
-    return _box_envelope(prior, ell)
-
-
-def _numeric_extremes(prior, ell, tol=1e-8):
-    from scipy.optimize import minimize  # deferred: scipy.optimize is slow to import
-    d = ell.d
-    T = np.sqrt(ell.threshold) * ell.W_inv_sqrt  # unit ball -> ellipsoid
-
-    def logpi(u):
-        return float(np.sum(prior.logpdf(ell.center + T @ u)))
-
-    def grad_logpi(u):
-        return T.T @ prior.d1(ell.center + T @ u)
-
-    # deterministic multi-start: center-of-ball, the prior mode's projection,
-    # the away-from-mode radial point, a sign vertex, and a few fixed
-    # pseudo-random boundary points
-    starts = [np.zeros(d)]
-    u_mode = np.linalg.solve(T, -ell.center)  # u with beta = 0
-    nmode = np.linalg.norm(u_mode)
-    if nmode > 0:
-        starts.append(u_mode / max(nmode, 1.0))
-        starts.append(-u_mode / max(nmode, 1.0))
-    sign_vertex = np.sign(ell.center)
-    sign_vertex[sign_vertex == 0] = 1.0
-    starts.append(sign_vertex / np.sqrt(d))
-    rng = np.random.default_rng(12345)
-    for _ in range(4):
-        z = rng.standard_normal(d)
-        starts.append(z / np.linalg.norm(z))
-
-    cons = [{"type": "ineq", "fun": lambda u: 1.0 - u @ u, "jac": lambda u: -2.0 * u}]
-    log_sup, log_inf = -np.inf, np.inf
-    for u0 in starts:
-        for sign in (-1.0, +1.0):  # -1: maximize logpi, +1: minimize it
-            res = minimize(lambda u: sign * logpi(u), u0,
-                           jac=lambda u: sign * grad_logpi(u),
-                           method="SLSQP", constraints=cons,
-                           options={"maxiter": 300, "ftol": tol * 1e-2})
-            u = np.asarray(res.x, dtype=float)
-            u /= max(1.0, np.linalg.norm(u))  # project back to feasibility
-            val = logpi(u)
-            log_sup = max(log_sup, val)
-            log_inf = min(log_inf, val)
-    # never leave the certified bracket
-    cons_sup, cons_inf = _conservative_extremes(prior, ell)
-    log_sup = min(log_sup, cons_sup)
-    log_inf = max(log_inf, cons_inf)
-    if log_inf > log_sup:
-        log_inf = log_sup
-    return float(log_sup), float(log_inf)
-
-
-def extremes_over_ball(prior, ell, method="conservative"):
-    """(log_sup, log_inf) of the prior density over the ellipsoid.
-
-    conservative always brackets analytic/numeric; analytic is exact where
-    defined; numeric refines conservative with constrained optimization.
-    """
-    methods = {"analytic": _analytic_extremes, "conservative": _conservative_extremes,
-               "numeric": _numeric_extremes}
-    if method not in methods:
-        raise ConfigError(f"unknown extremes method {method!r}")
-    _coordinate_box(prior, ell)  # positivity on the set, for every support
-    if prior.flat:  # constant on its support: every method is exact
-        log_sup = log_inf = ell.d * prior.log_normalizer
-    else:
-        log_sup, log_inf = methods[method](prior, ell)
-    if not log_sup >= log_inf:
-        raise ConfigError("extremes inverted; this is a bug")
-    return float(log_sup), float(log_inf)
 
 
 @dataclass

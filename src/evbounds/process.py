@@ -68,6 +68,8 @@ def theoretical_C(kind, tau_or_gbar, X, d, n, R, k0=8.0, nu=1.0):
         raise ConfigError(f"X shape {X.shape} does not match (n, d) = {(n, d)}")
     if tau_or_gbar < 0 or R <= 0:
         raise ConfigError("parameters must be positive")
+    if not (k0 > 0 and nu > 0):  # a nonpositive scale would flip the bound
+        raise ConfigError(f"k0 and nu must be positive, got k0 = {k0!r}, nu = {nu!r}")
     x_op = operator_norm(X)
     if kind == "subgaussian":
         C = k0 * tau_or_gbar * x_op * np.sqrt(R / n)

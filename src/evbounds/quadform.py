@@ -27,7 +27,7 @@ import numpy as np
 from .errors import ConfigError, DomainError, SingularityError
 from .pseudotrue import _cholesky
 
-_ABS_TOL = 1e-8  # certified absolute error of the eigen-series method
+_ABS_TOL = 1e-8  # certified absolute error of the eigen-series and imhof methods
 _CLAMP_LOG = np.log(1e-13)
 
 
@@ -237,7 +237,10 @@ def _mc_prob(lams, t, n_draws, seed):
 def prob_ball(M, t, method="eigen-series", n_draws=10**6, seed=0):
     """P(||xi||^2 <= t) for xi ~ N(0, M), M symmetric PSD.
 
-    eigen-series: certified absolute error <= 1e-8 (deterministic, SE = 0).
+    eigen-series: certified absolute error <= 1e-8 (deterministic, SE = 0),
+    by closed forms, tail clamps or the series; a spectrum the series cannot
+    certify goes to Imhof's inversion (method "imhof", same error budget),
+    then to Monte Carlo.
     monte-carlo: n_draws draws with reported standard error.
     Zero eigenvalues are degenerate coordinates contributing exactly 0.
     """
@@ -291,7 +294,7 @@ def prob_ball(M, t, method="eigen-series", n_draws=10**6, seed=0):
     oscillatory = (t / 2.0) * (20.0 / lams.min()) >= 16.0 * np.pi
     if oscillatory and not flagged and err <= _ABS_TOL and -1e-8 <= p <= 1 + 1e-8:
         return ProbResult(p=float(min(max(p, 0.0), 1.0)), standard_error=0.0,
-                          method="eigen-series")
+                          method="imhof")
     # neither deterministic route certified; Monte Carlo with honest SE
     return _mc_prob(lams, t, n_draws, seed)
 

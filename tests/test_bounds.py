@@ -19,9 +19,11 @@ from evbounds import (
     get_family,
     get_prior,
     log_likelihood_full,
+    prob_ball,
     solve_mle,
     theoretical_C,
 )
+import evbounds.quadform as quadform_mod
 
 GAU = get_family("gaussian")
 LOG = get_family("logistic")
@@ -185,14 +187,19 @@ def test_to_dict_is_json_serializable_and_complete():
     assert "mle_log_lik" not in back  # absent unless recentering metadata given
 
 
-def test_monte_carlo_set_mass_is_recorded_and_uncertified():
+def test_monte_carlo_set_mass_is_recorded_and_uncertified(monkeypatch):
+    # unequal curvatures, so each mass needs the series; with the series and
+    # the Imhof inversion both refusing, prob_ball falls back to Monte Carlo
     d = 2
     ell = Ellipsoid(np.zeros(d), np.eye(d), 1.5)
-    cert = certificate(GAU, np.eye(d), ell)
+    cert = certificate(GAU, np.diag([1.0, 2.0]), ell)
     proc = ProcessConstants(C=1.0, delta_tilde=0.05, source="fixed")
     exact = compute_bounds(None, 0.0, cert, proc, (0.0, 0.0), ell)
+    assert exact.prob_Rd.method == "eigen-series"
     assert exact.validity["set_mass_certified"] and exact.theorem_certified
-    mc = compute_bounds(None, 0.0, cert, proc, (0.0, 0.0), ell, prob_method="monte-carlo")
+    monkeypatch.setattr(quadform_mod, "_ruben_series", lambda lams, t: None)
+    monkeypatch.setattr(quadform_mod, "_imhof_qawf", lambda lams, t: (np.nan, np.inf, True))
+    mc = compute_bounds(None, 0.0, cert, proc, (0.0, 0.0), ell)
     assert mc.validity["set_mass_certified"] is False
     assert not mc.theorem_certified
     back = json.loads(json.dumps(mc.to_dict()))
@@ -200,6 +207,43 @@ def test_monte_carlo_set_mass_is_recorded_and_uncertified():
         assert back[f"{name}_method"] == "monte-carlo"
         assert back[f"{name}_se"] > 0
         assert abs(back[name] - getattr(exact, name).p) <= 5 * back[f"{name}_se"]
+
+
+def _criterion_06_spectrum(index):
+    """The index-th (M, t) of the acceptance suite's random spectra."""
+    rng = np.random.default_rng(606)
+    for _ in range(index + 1):
+        d = int(rng.integers(1, 51))
+        lam = 10.0 ** rng.uniform(-3, 2, size=d)
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        t = float(rng.uniform(0.3, 2.0) * lam.sum())
+    return (q * lam) @ q.T, t
+
+
+def test_imhof_set_mass_is_labelled_and_certified():
+    # spectrum 3 (d = 19, condition number 1.4e4) is too ill-conditioned for
+    # the series at this t, so its mass comes from the Imhof inversion; the
+    # report names that method and still counts the mass as certified
+    M, t = _criterion_06_spectrum(3)
+    M = (M + M.T) / 2
+    assert prob_ball(M, t).method == "imhof"
+    lam, Q = np.linalg.eigh(M)
+    d = len(lam)
+    ell = Ellipsoid(np.zeros(d), np.eye(d), t / d)           # threshold t
+    cert = certificate(GAU, (Q / np.sqrt(lam)) @ Q.T, ell)  # H = M^{-1}, c = 1
+    rep = compute_bounds(None, 0.0, cert, ProcessConstants(1.0, 0.05, "fixed"),
+                         (0.0, 0.0), ell)
+    assert rep.prob_Rd.method == rep.prob_Rd_over_c.method == "imhof"
+    assert rep.validity["set_mass_certified"] and rep.theorem_certified
+    assert rep.to_dict()["prob_Rd_method"] == "imhof"
+
+
+def test_inverted_bracket_raises_numerical_error():
+    # a negative C puts the lower bound above the upper one: refused
+    ell = Ellipsoid(np.zeros(2), np.eye(2), 1.5)
+    cert = certificate(GAU, np.eye(2), ell)
+    with pytest.raises(NumericalError):
+        compute_bounds(None, 0.0, cert, ProcessConstants(-5.0, 0.05, "fixed"), (0.0, 0.0), ell)
 
 
 def test_mle_recentering_metadata():

@@ -409,11 +409,14 @@ def _write_cfg(tmp_path, flat, name="cfg.json"):
 
 
 def test_import_and_cli_bounds_load_no_scipy(tmp_path):
-    # nothing a `bounds` run does needs scipy; QUADPACK inversion and the
-    # numeric prior extremes import it where they use it
+    # nothing a `bounds` run does needs scipy, the exact laplace-product
+    # extremes included; QUADPACK inversion imports it where it is used
     conjugate = _write_cfg(tmp_path, _conjugate_flat())
     logistic = _write_cfg(tmp_path, _conjugate_flat(
         family="logistic", **{"mechanism.beta0": [0.8, -0.5]}), name="logistic.json")
+    laplace_flat = _conjugate_flat(prior="laplace-product", **{"prior.kappa": 1.0})
+    del laplace_flat["prior.tau_p"]
+    laplace = _write_cfg(tmp_path, laplace_flat, name="laplace.json")
     code = (
         "import contextlib, io, sys\n"
         "loaded = lambda: [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
@@ -423,9 +426,9 @@ def test_import_and_cli_bounds_load_no_scipy(tmp_path):
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        code = evbounds.cli.main(['bounds', '--config', path])\n"
         "    print(code, loaded())\n")
-    out = subprocess.run([sys.executable, "-c", code, conjugate, logistic],
+    out = subprocess.run([sys.executable, "-c", code, conjugate, logistic, laplace],
                          capture_output=True, text=True, check=True)
-    assert out.stdout.split("\n")[:3] == ["[]", "0 []", "0 []"]
+    assert out.stdout.split("\n")[:4] == ["[]", "0 []", "0 []", "0 []"]
 
 
 def test_cli_bounds_success_json(tmp_path, capsys):
@@ -490,6 +493,20 @@ def test_cli_exit_code_config_error_nested_parameter(tmp_path, capsys, extra):
     ("compare", _compare_flat([1])),
     ("compare", _compare_flat([{"name": "a"}, {"columns": [0]}])),
     ("compare", _compare_flat([{"name": "a", "c1": "big"}])),
+    # two tensor levels both floored at 8 nodes per panel pass the
+    # node-doubling check uncompared (log_z -67.87 against -65.67)
+    ("oracle", _conjugate_flat(oracle="quadrature", n_nodes_per_dim=0)),
+    ("oracle", _conjugate_flat(oracle="quadrature", n_nodes_per_dim=4)),
+    # removed keys: the conjugate oracle's noise scale is the family's
+    # unit scale, and the prior extremes have one certified route
+    ("bounds", _conjugate_flat(sigma=2.0)),
+    ("bounds", _conjugate_flat(prior_extremes="numeric")),
+    ("compare", _compare_flat([{"name": "a", "sigma": 2.0}])),
+    # "k0": -1 used to exit 0 with the lower bound above the upper one and
+    # theorem_certified true
+    ("bounds", _conjugate_flat(c_source="subgaussian-theory", k0=-1)),
+    ("bounds", _conjugate_flat(c_source="subgaussian-theory", k0=0)),
+    ("bounds", _conjugate_flat(c_source="subexponential-theory", nu=0.0)),
 ])
 def test_cli_exit_code_config_error_bad_value(tmp_path, capsys, command, flat):
     # each of these used to end in a traceback or to exit 0 with a

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
+from scipy.optimize import brentq
 
 from evbounds import (
     ConfigError,
@@ -14,6 +16,7 @@ from evbounds import (
     lipschitz_certificate,
     log_density,
 )
+from evbounds.priors import _min_l1_on_ball
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +95,7 @@ def test_laplace_centered_ball_closed_form():
     p = get_prior("laplace-product", kappa=kappa)
     ell = default_ellipsoid(np.zeros(d), n, c1=2.0)
     rho = np.sqrt(ell.threshold / n)
-    log_sup, log_inf = extremes_over_ball(p, ell, method="analytic")
+    log_sup, log_inf = extremes_over_ball(p, ell)
     assert abs(log_sup - d * np.log(kappa / 2.0)) < 1e-12
     assert abs(log_inf - (d * np.log(kappa / 2.0) - kappa * np.sqrt(d) * rho)) < 1e-12
 
@@ -102,44 +105,79 @@ def test_gaussian_centered_ball_closed_form():
     p = get_prior("gaussian-product", tau_p=tau)
     ell = default_ellipsoid(np.zeros(d), n, c1=3.0)
     rho = np.sqrt(ell.threshold / n)
-    log_sup, log_inf = extremes_over_ball(p, ell, method="analytic")
+    log_sup, log_inf = extremes_over_ball(p, ell)
     base = d * (-0.5 * np.log(2 * np.pi * tau**2))
     assert abs(log_sup - base) < 1e-12
     assert abs(log_inf - (base - rho**2 / (2 * tau**2))) < 1e-12
 
 
-def test_bracket_chain_conservative_numeric_sampled():
+def _sampled_extremes(prior, ell, rng, n_points=200_000):
+    """Max and min of the log prior over points drawn on the ellipsoid's
+    boundary (every other point) and uniformly inside it, and over the
+    prior's mode 0 if the ellipsoid holds it."""
+    z = rng.standard_normal((n_points, ell.d))
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    radii = rng.random(n_points) ** (1.0 / ell.d)
+    radii[::2] = 1.0
+    pts = ell.center + np.sqrt(ell.threshold) * ((z * radii[:, None]) @ ell.W_inv_sqrt)
+    if ell.center @ ell.W @ ell.center <= ell.threshold:
+        pts = np.vstack([pts, np.zeros(ell.d)])
+    vals = prior.logpdf(pts).sum(axis=1)
+    return float(vals.max()), float(vals.min())
+
+
+def test_extremes_bracket_sampled_extremes():
+    # the one certified pair holds every sampled value; where a closed form
+    # exists (laplace and gaussian on this spherical set) sampling nearly
+    # attains it
     rng = np.random.default_rng(0)
-    for kind, params in [("laplace-product", {"kappa": 1.0}),
-                         ("gaussian-product", {"tau_p": 1.5}),
-                         ("student-product", {"nu": 5.0, "s": 1.0})]:
+    for kind, params, exact in [("laplace-product", {"kappa": 1.0}, True),
+                                ("gaussian-product", {"tau_p": 1.5}, True),
+                                ("student-product", {"nu": 5.0, "s": 1.0}, False)]:
         p = get_prior(kind, **params)
-        center = rng.normal(scale=0.8, size=3)
-        ell = default_ellipsoid(center, 60, c1=4.0)
-        cons_sup, cons_inf = extremes_over_ball(p, ell, method="conservative")
-        num_sup, num_inf = extremes_over_ball(p, ell, method="numeric")
-        # sampling oracle over the ellipsoid
-        z = rng.standard_normal((200_000, 3))
-        z /= np.linalg.norm(z, axis=1, keepdims=True)
-        radii = rng.random(200_000) ** (1.0 / 3.0)
-        pts = center + np.sqrt(ell.threshold) * ((z * radii[:, None]) @ ell.W_inv_sqrt.T)
-        vals = p.logpdf(pts).sum(axis=1)
-        samp_sup, samp_inf = float(vals.max()), float(vals.min())
-        assert cons_inf <= num_inf <= samp_inf + 1e-9
-        assert samp_sup - 1e-9 <= num_sup <= cons_sup
-        # numeric should essentially attain the sampled extremes
-        assert num_sup >= samp_sup - 1e-3
-        assert num_inf <= samp_inf + 1e-3
+        ell = default_ellipsoid(rng.normal(scale=0.8, size=3), 60, c1=4.0)
+        log_sup, log_inf = extremes_over_ball(p, ell)
+        samp_sup, samp_inf = _sampled_extremes(p, ell, rng)
+        assert log_inf <= samp_inf + 1e-12 and samp_sup <= log_sup + 1e-12
+        if exact:
+            assert log_sup - samp_sup < 1e-3 and samp_inf - log_inf < 1e-3
 
 
 def test_analytic_matches_numeric_off_center_laplace():
+    # l1 is convex, so over a disc that misses the origin both of its
+    # extremes lie on the boundary circle: a dense evaluation there is a
+    # numeric reference from inside, which the closed form must bound and
+    # nearly meet.  The sup sits on the kink beta_2 = 0, where the
+    # reference is off by at most kappa * rho * sqrt(2) * (pi / 1e6) ~ 6e-6
     p = get_prior("laplace-product", kappa=2.0)
-    center = np.array([0.15, -0.35])
+    center = np.array([0.9, -0.2])
     ell = default_ellipsoid(center, 40, c1=3.0)
-    a_sup, a_inf = extremes_over_ball(p, ell, method="analytic")
-    n_sup, n_inf = extremes_over_ball(p, ell, method="numeric")
-    assert abs(a_sup - n_sup) < 1e-6
-    assert abs(a_inf - n_inf) < 1e-6
+    rho = np.sqrt(ell.threshold / 40)
+    assert np.linalg.norm(center) > rho
+    theta = np.linspace(0.0, 2 * np.pi, 1_000_000, endpoint=False)
+    circle = center + rho * np.column_stack([np.cos(theta), np.sin(theta)])
+    vals = p.logpdf(circle).sum(axis=1)
+    a_sup, a_inf = extremes_over_ball(p, ell)
+    assert 0.0 <= a_sup - vals.max() < 1e-5
+    assert 0.0 <= vals.min() - a_inf < 1e-9
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(m=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=8),
+       frac=st.floats(0.0, 1.5))
+def test_min_l1_on_ball_matches_root_finding(m, frac):
+    # the closed form against the root t of sum_j min(|m_j|, t)^2 = rho^2
+    # found by bracketing
+    m = np.array(m)
+    am = np.abs(m)
+    rho = frac * float(np.linalg.norm(m))
+    if np.linalg.norm(m) <= rho:
+        expected = 0.0
+    else:
+        t = brentq(lambda t: float(np.sum(np.minimum(am, t) ** 2) - rho * rho),
+                   0.0, float(am.max()), xtol=1e-15, rtol=1e-15)
+        expected = float(np.sum(am - np.minimum(am, t)))
+    assert abs(_min_l1_on_ball(m, rho) - expected) <= 1e-12 * max(1.0, float(am.sum()))
 
 
 def test_extremes_shrink_with_radius():
@@ -165,29 +203,34 @@ def test_uniform_box_requires_containment():
         extremes_over_ball(p, outside)
 
 
-def test_extremes_unknown_method():
-    p = get_prior("gaussian-product", tau_p=1.0)
-    ell = default_ellipsoid(np.zeros(1), 10)
-    with pytest.raises(ConfigError):
-        extremes_over_ball(p, ell, method="exact")
-
-
 def test_student_analytic_unavailable():
+    # no closed form for the student product: even on a spherical metric
+    # the pair is the per-coordinate box envelope, which holds the sampled
+    # extremes; its inf is loose, the box's corners lying outside the ball
     p = get_prior("student-product", nu=5.0, s=1.0)
     ell = default_ellipsoid(np.zeros(2), 50)
-    with pytest.raises(ConfigError):
-        extremes_over_ball(p, ell, method="analytic")
+    log_sup, log_inf = extremes_over_ball(p, ell)
+    samp_sup, samp_inf = _sampled_extremes(p, ell, np.random.default_rng(1))
+    assert log_inf <= samp_inf and samp_sup <= log_sup
+    assert log_sup == 2 * p.log_normalizer  # the mode is inside the ball
+    assert log_inf < samp_inf - 1e-3
 
 
-def test_nonspherical_metric_conservative_and_numeric_agree_on_bracket():
+def test_nonspherical_metric_gets_box_envelope():
+    # a closed form needs W = s*I; on any other metric the gaussian product
+    # gets the box envelope: the log density at the box point nearest the
+    # mode, and at each coordinate's farther end
     p = get_prior("gaussian-product", tau_p=1.0)
     W = np.array([[30.0, 5.0], [5.0, 60.0]])
     ell = Ellipsoid(np.array([0.2, -0.1]), W, 4.0)
-    cons_sup, cons_inf = extremes_over_ball(p, ell, method="conservative")
-    num_sup, num_inf = extremes_over_ball(p, ell, method="numeric")
-    assert cons_inf <= num_inf <= num_sup <= cons_sup
-    with pytest.raises(ConfigError):
-        extremes_over_ball(p, ell, method="analytic")  # needs W = s*I
+    log_sup, log_inf = extremes_over_ball(p, ell)
+    lo = ell.center - ell.coordinate_halfwidths()
+    hi = ell.center + ell.coordinate_halfwidths()
+    assert log_sup == pytest.approx(float(np.sum(p.logpdf(np.clip(0.0, lo, hi)))), abs=1e-12)
+    far = np.maximum(np.abs(lo), np.abs(hi))
+    assert log_inf == pytest.approx(float(np.sum(p.logpdf(far))), abs=1e-12)
+    samp_sup, samp_inf = _sampled_extremes(p, ell, np.random.default_rng(2))
+    assert log_inf <= samp_inf and samp_sup <= log_sup
 
 
 # ---------------------------------------------------------------------------

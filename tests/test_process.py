@@ -108,6 +108,12 @@ def test_theoretical_C_validation():
         theoretical_C("subgaussian", 1.0, X, 3, 20, 16.0)  # shape mismatch
     with pytest.raises(ConfigError):
         theoretical_C("subgaussian", -1.0, X, 2, 20, 16.0)
+    # a nonpositive k0 or nu gives C <= 0, which can put the lower bound
+    # above the upper one
+    for kind, scale in [("subgaussian", {"k0": -1.0}), ("subgaussian", {"k0": 0.0}),
+                        ("subexponential", {"nu": 0.0})]:
+        with pytest.raises(ConfigError):
+            theoretical_C(kind, 1.0, X, 2, 20, 16.0, **scale)
 
 
 def test_subgaussian_bound_dominates_simulated_exceedance():
