@@ -37,6 +37,7 @@ class BoundsReport:
     coverage_guarantee: float = 0.0
     mle_log_lik: float | None = None
     mle_gap: float | None = None
+    C_method: str | None = None  # ProcessConstants.method
 
     @property
     def width(self):
@@ -60,6 +61,7 @@ class BoundsReport:
             "validity": dict(self.validity),
             "theorem_certified": self.theorem_certified,
             "coverage_guarantee": self.coverage_guarantee,
+            "C_method": self.C_method,
         }
         for name in ("prob_Rd", "prob_Rd_over_c"):
             mass = getattr(self, name)
@@ -162,4 +164,5 @@ def compute_bounds(fit, loglik_at_star, cert, proc, prior_ext, ell, eta=0.05,
         coverage_guarantee=float(1.0 - delta - proc.delta_tilde),
         mle_log_lik=None if mle_log_lik is None else float(mle_log_lik),
         mle_gap=None if mle_log_lik is None else float(mle_log_lik - loglik_at_star),
+        C_method=proc.method,
     )

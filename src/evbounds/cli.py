@@ -78,7 +78,7 @@ def _cmd_process_constants(config, args):
     ctx = build_context(config)
     proc = ctx.proc
     _emit({"C": proc.C, "C_times_d": proc.C * ctx.d, "delta_tilde": proc.delta_tilde,
-           "source": proc.source, "threshold": proc.threshold,
+           "source": proc.source, "C_method": proc.method, "threshold": proc.threshold,
            "k0": proc.k0, "nu": proc.nu})
 
 
@@ -186,6 +186,10 @@ def main(argv=None):
     except NumericalError as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        print(f"config error: the configured sizes do not fit in memory ({exc})",
+              file=sys.stderr)
+        return 2
     except HypothesisViolation as exc:
         print(f"hypothesis violation: {exc}", file=sys.stderr)
         return 4

@@ -70,6 +70,8 @@ def make_design(n, d, kind, seed=0):
     n, d = int(n), int(d)
     if n < d or d < 1:
         raise ConfigError(f"need n >= d >= 1, got n={n}, d={d}")
+    if n * d > np.iinfo(np.intp).max // 8:  # beyond any float64 array
+        raise ConfigError(f"an n x d = {n} x {d} design is too large to allocate")
     rng = np.random.default_rng(seed)
     if kind == "rademacher":
         X = rng.choice([-1.0, 1.0], size=(n, d))
@@ -98,10 +100,13 @@ def make_design(n, d, kind, seed=0):
 @dataclass(frozen=True)
 class ResidualLaw:
     """Responses around a mean vector: sample(m, rng) draws them, tail(m)
-    certifies the residuals y - m.  A GlmFamily is one too."""
+    certifies the residuals y - m, and gaussian_variance(m), set only when
+    those residuals are independent Gaussians, gives their variances.  A
+    GlmFamily is one too."""
 
     sample: Callable
     tail: Callable
+    gaussian_variance: Callable | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,7 +193,8 @@ def hetero_gaussian(beta0, sigmas):
 
     law = ResidualLaw(
         sample=lambda m, rng: m + np.resize(sigmas, len(m)) * rng.standard_normal(len(m)),
-        tail=lambda m: TailBound("subgaussian", tau=float(sigmas.max())))
+        tail=lambda m: TailBound("subgaussian", tau=float(sigmas.max())),
+        gaussian_variance=lambda m: np.resize(sigmas**2, len(m)))
     return Mechanism("hetero-gaussian", np.asarray(beta0, dtype=float), lambda t: t, law)
 
 

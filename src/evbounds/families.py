@@ -102,6 +102,8 @@ class GlmFamily:
     response_domain : (lo, hi), the closed range every response lies in
     linpred_cap : if set, line searches reject |x'beta| beyond this (overflow
         guard for exp-type cumulants)
+    gaussian_variance : mean vector -> per-observation variances when the
+        residuals y - mean are independent Gaussians; None for other laws
     """
 
     name: str
@@ -117,6 +119,7 @@ class GlmFamily:
     tail: Callable
     response_domain: tuple
     linpred_cap: float | None = None
+    gaussian_variance: Callable | None = None
 
 
 def _logistic_a2_extremes(lo, hi):
@@ -150,6 +153,7 @@ def gaussian_family():
         sample=lambda m, rng: m + rng.standard_normal(len(m)),
         tail=lambda m: TailBound("subgaussian", tau=1.0),
         response_domain=(-np.inf, np.inf),
+        gaussian_variance=lambda m: np.ones(len(m)),
     )
 
 

@@ -14,6 +14,7 @@ import inspect
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field, asdict, replace
 from functools import cached_property
 
@@ -77,6 +78,10 @@ class ExperimentConfig:
         for key in ("c1", "k0", "nu"):
             if not getattr(self, key) > 0:
                 raise ConfigError(f"{key} must be positive, got {getattr(self, key)!r}")
+        if self.c1 > math.sqrt(sys.float_info.max):  # the radius R = c1^2 is a float
+            raise ConfigError(f"c1 is too large, got {self.c1!r}")
+        if not 0 <= self.master_seed < 2**64:  # seeds every stream as 8 bytes
+            raise ConfigError(f"master_seed must lie in [0, 2^64), got {self.master_seed!r}")
         for n in self.n_grid or ():
             if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
                 raise ConfigError(f"n_grid entries must be positive integers, got {n!r}")

@@ -147,12 +147,13 @@ def conjugate_log_z(X, y, sigma, tau_p):
 # tensor-product quadrature (d <= 3)
 # ---------------------------------------------------------------------------
 
-def _panel_nodes(lo, hi, interior_kinks, n_nodes):
+def _panel_nodes(lo, hi, interior_kinks, n_nodes, min_nodes):
     """Gauss-Legendre nodes/log-weights on [lo, hi], with panels split at
-    interior kink points so the integrand is smooth per panel."""
+    interior kink points so the integrand is smooth per panel; each panel
+    gets its share of n_nodes, and at least min_nodes."""
     cuts = [lo] + [k for k in sorted(interior_kinks) if lo < k < hi] + [hi]
     lengths = np.diff(cuts)
-    alloc = np.maximum(8, np.round(n_nodes * lengths / lengths.sum()).astype(int))
+    alloc = np.maximum(min_nodes, np.round(n_nodes * lengths / lengths.sum()).astype(int))
     nodes, logw = [], []
     for (a, b), k in zip(zip(cuts[:-1], cuts[1:]), alloc):
         x, w = np.polynomial.legendre.leggauss(int(k))
@@ -166,8 +167,8 @@ def _check_quadrature_args(d, box_halfwidth, n_nodes_per_dim):
         raise CapabilityError("tensor quadrature supports d <= 3; use importance_log_z")
     if box_halfwidth < 12:
         raise ConfigError("box_halfwidth must be >= 12 posterior sd units")
-    # _panel_nodes gives each panel at least 8 nodes, so below 8 the first
-    # two levels coincide and would pass the node-doubling check uncompared
+    # level k gives each panel at least 8 * 2^k nodes, so a value below 8
+    # would be silently replaced by the floor
     if n_nodes_per_dim < 8:
         raise ConfigError(f"n_nodes_per_dim must be at least 8, got {n_nodes_per_dim!r}")
 
@@ -202,10 +203,15 @@ class QuadratureGrid:
         self._levels = []
 
     def _level(self, k):
-        """(per-axis nodes, G, log weights) at n_nodes_per_dim * 2^k nodes."""
+        """(per-axis nodes, G, log weights) at n_nodes_per_dim * 2^k nodes.
+
+        The per-panel floor doubles with the level too, so every panel
+        between prior kinks grows from one level to the next and the
+        node-doubling check compares refined values on each of them."""
         while len(self._levels) <= k:
-            n_nodes = self.n_nodes_per_dim * 2 ** len(self._levels)
-            axes = [_panel_nodes(lo, hi, self.prior.kinks, n_nodes)
+            scale = 2 ** len(self._levels)
+            axes = [_panel_nodes(lo, hi, self.prior.kinks, self.n_nodes_per_dim * scale,
+                                 8 * scale)
                     for lo, hi in zip(self.los, self.his)]
             nodes = [a[0] for a in axes]
             shape = tuple(len(x) for x in nodes)

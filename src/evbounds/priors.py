@@ -169,7 +169,7 @@ def get_prior(kind, **params):
         raise ConfigError(f"unknown prior {kind!r}; known: {sorted(_REGISTRY)}")
     try:
         return ctor(**params)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad parameters for prior {kind!r}: {exc}")
 
 

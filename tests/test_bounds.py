@@ -180,7 +180,7 @@ def test_to_dict_is_json_serializable_and_complete():
                 "terms_upper", "terms_lower", "constants", "validity",
                 "theorem_certified", "coverage_guarantee", "prob_Rd",
                 "prob_Rd_over_c", "prob_Rd_method", "prob_Rd_se",
-                "prob_Rd_over_c_method", "prob_Rd_over_c_se"):
+                "prob_Rd_over_c_method", "prob_Rd_over_c_se", "C_method"):
         assert key in back
     assert back["validity"]["set_mass_certified"] is True
     assert back["width"] == pytest.approx(back["upper"] - back["lower"])

@@ -1,13 +1,17 @@
 """Experiment harness: config plumbing, coverage accounting, scans, CLI."""
 
+import contextlib
 import gc
+import io
 import json
+import math
 import subprocess
 import sys
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import sqrtm
 
 from evbounds import (
@@ -410,7 +414,8 @@ def _write_cfg(tmp_path, flat, name="cfg.json"):
 
 def test_import_and_cli_bounds_load_no_scipy(tmp_path):
     # nothing a `bounds` run does needs scipy, the exact laplace-product
-    # extremes included; QUADPACK inversion imports it where it is used
+    # extremes and the Gaussian-law C included; QUADPACK inversion imports
+    # it where it is used
     conjugate = _write_cfg(tmp_path, _conjugate_flat())
     logistic = _write_cfg(tmp_path, _conjugate_flat(
         family="logistic", **{"mechanism.beta0": [0.8, -0.5]}), name="logistic.json")
@@ -422,13 +427,87 @@ def test_import_and_cli_bounds_load_no_scipy(tmp_path):
         "loaded = lambda: [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
         "import evbounds, evbounds.cli\n"
         "print(loaded())\n"
-        "for path in sys.argv[1:]:\n"
+        "for command, path in zip(sys.argv[1::2], sys.argv[2::2]):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        code = evbounds.cli.main(['bounds', '--config', path])\n"
+        "        code = evbounds.cli.main([command, '--config', path])\n"
         "    print(code, loaded())\n")
-    out = subprocess.run([sys.executable, "-c", code, conjugate, logistic, laplace],
+    out = subprocess.run([sys.executable, "-c", code, "bounds", conjugate, "bounds", logistic,
+                          "bounds", laplace, "process-constants", conjugate],
                          capture_output=True, text=True, check=True)
-    assert out.stdout.split("\n")[:4] == ["[]", "0 []", "0 []", "0 []"]
+    assert out.stdout.split("\n")[:5] == ["[]", "0 []", "0 []", "0 []", "0 []"]
+
+
+@pytest.mark.parametrize("family, method", [("gaussian", "gaussian-exact"),
+                                            ("logistic", "simulation")])
+def test_cli_process_constants_report_how_C_was_made(tmp_path, capsys, family, method):
+    path = _write_cfg(tmp_path, _conjugate_flat(family=family))
+    assert main(["process-constants", "--config", path]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["C_method"] == method and out["source"] == "empirical-quantile"
+    assert main(["bounds", "--config", path]) == 0
+    assert json.loads(capsys.readouterr().out)["C_method"] == method
+
+
+def test_gaussian_C_root_find_is_short(monkeypatch):
+    import evbounds.process as process_mod
+    calls = []
+    real = process_mod.prob_ball
+
+    def counted(M, t):
+        calls.append(t)
+        return real(M, t)
+
+    monkeypatch.setattr(process_mod, "prob_ball", counted)
+    ctx = build_context(ExperimentConfig.from_flat(_conjugate_flat()))
+    assert ctx.proc.method == "gaussian-exact"
+    assert 0 < len(calls) <= 16
+
+
+# scalar keys of a small gaussian or logistic config, each at a valid value
+_AUDIT_VALID = {"n": 40, "d": 2, "c1": 4.0, "k0": 8.0, "nu": 1.0, "eta": 0.05,
+                "delta": 0.05, "delta_tilde": 0.05, "calib_reps": 100, "n_replicates": 3,
+                "box_halfwidth": 12.0, "n_nodes_per_dim": 16, "n_draws": 2000,
+                "master_seed": 1, "prior.tau_p": 3.0}
+
+
+def _audit_value(valid, kind):
+    if kind == "zero":
+        return 0 * valid
+    if kind == "negative":
+        return -valid
+    if kind == "huge":
+        return 10**18 if isinstance(valid, int) else 1e300
+    return "x" if kind == "wrong-type" else valid
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(family=st.sampled_from(["gaussian", "logistic"]),
+       oracle=st.sampled_from(["auto", "quadrature"]),
+       changes=st.dictionaries(st.sampled_from(sorted(_AUDIT_VALID)),
+                               st.sampled_from(["valid", "zero", "negative", "huge",
+                                                "wrong-type"]),
+                               max_size=3))
+def test_config_audit_refuses_without_traceback(tmp_path_factory, family, oracle, changes):
+    flat = _conjugate_flat(family=family, oracle=oracle, jobs=1, **_AUDIT_VALID)
+    flat.update({key: _audit_value(_AUDIT_VALID[key], kind) for key, kind in changes.items()})
+    path = _write_cfg(tmp_path_factory.mktemp("audit"), flat)
+    for command in ("bounds", "oracle"):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, "--config", path])
+        assert code in (0, 2, 3, 4), (command, code)
+        assert "Traceback" not in err.getvalue()
+        if code != 0:
+            continue
+        report = json.loads(out.getvalue())
+        if command == "oracle":
+            assert math.isfinite(report["log_z"])
+            continue
+        assert math.isfinite(report["lower"]) and math.isfinite(report["upper"])
+        assert report["lower"] <= report["upper"]
+        if report["theorem_certified"]:
+            v = report["validity"]
+            assert v["c_in_range"] and v["eta_in_range"] and v["set_mass_certified"]
 
 
 def test_cli_bounds_success_json(tmp_path, capsys):
@@ -493,8 +572,9 @@ def test_cli_exit_code_config_error_nested_parameter(tmp_path, capsys, extra):
     ("compare", _compare_flat([1])),
     ("compare", _compare_flat([{"name": "a"}, {"columns": [0]}])),
     ("compare", _compare_flat([{"name": "a", "c1": "big"}])),
-    # two tensor levels both floored at 8 nodes per panel pass the
-    # node-doubling check uncompared (log_z -67.87 against -65.67)
+    # below the 8-node panel floor two tensor levels used to coincide and
+    # pass the node-doubling check uncompared (log_z -67.87 against -65.67);
+    # the floor would now silently replace the value
     ("oracle", _conjugate_flat(oracle="quadrature", n_nodes_per_dim=0)),
     ("oracle", _conjugate_flat(oracle="quadrature", n_nodes_per_dim=4)),
     # removed keys: the conjugate oracle's noise scale is the family's

@@ -1,5 +1,7 @@
 """Evidence oracles: conjugate closed form, quadrature, importance sampling."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -143,6 +145,38 @@ def test_quadrature_handles_prior_kinks_and_is_deterministic():
     # doubling the starting resolution moves the certified value < 1e-6
     c = quadrature_log_z(LOG, X, y, prior, n_nodes_per_dim=64)
     assert abs(a.log_z - c.log_z) < 1e-6
+
+
+@pytest.mark.parametrize("master_seed", range(6))
+def test_quadrature_kink_panels_grow_at_every_level(tmp_path, capsys, master_seed):
+    # a laplace kink inside the box splits it into two panels; with 8 nodes
+    # per dimension both used to stay at the 8-node floor for two levels,
+    # which then agreed and certified a log_z off by up to 2e-3
+    from evbounds.cli import main
+    flat = {"family": "logistic", "mechanism": "glm-well-specified",
+            "mechanism.beta0": [0.05], "design": "uniform", "n": 30, "d": 1,
+            "prior": "laplace-product", "prior.kappa": 1.0, "oracle": "quadrature",
+            "calib_reps": 100, "master_seed": master_seed}
+    log_z = {}
+    for nodes in (8, 64):
+        path = tmp_path / f"nodes{nodes}.json"
+        path.write_text(json.dumps(dict(flat, n_nodes_per_dim=nodes)))
+        assert main(["oracle", "--config", str(path)]) == 0
+        log_z[nodes] = json.loads(capsys.readouterr().out)["log_z"]
+    assert abs(log_z[8] - log_z[64]) < 1e-6
+
+
+def test_quadrature_grid_without_kinks_doubles_one_panel():
+    # no kink inside the box: each level is one Gauss-Legendre panel of
+    # n_nodes_per_dim * 2^k nodes, as before the per-level floor
+    X = np.ones((5, 1))
+    grid = QuadratureGrid(GAU, X, get_prior("gaussian-product", tau_p=1.0),
+                          np.zeros(1), np.eye(1), n_nodes_per_dim=12)
+    for k in range(3):
+        nodes = grid._level(k)[0][0]
+        x, _ = np.polynomial.legendre.leggauss(12 * 2 ** k)
+        lo, hi = grid.los[0], grid.his[0]
+        assert np.array_equal(nodes, 0.5 * (hi - lo) * x + 0.5 * (lo + hi))
 
 
 def test_quadrature_capability_and_config_errors():

@@ -1,19 +1,26 @@
 """Exact process suprema, chaining constants, empirical calibration."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy import stats
 
 from evbounds import (
     ConfigError,
     Ellipsoid,
+    ProbResult,
     calibrate_C,
     default_ellipsoid,
+    derive_rng,
     exact_sup,
     exact_sup_ellipsoid,
     get_mechanism,
     make_design,
+    prob_ball,
     theoretical_C,
 )
+import evbounds.process as process_mod
 
 
 def test_exact_sup_cauchy_schwarz_witness():
@@ -143,6 +150,7 @@ def test_calibrate_zero_residuals_gives_zero():
     ell = default_ellipsoid(np.zeros(d), n)
     pc = calibrate_C(mech, X, ell, n_rep=200, delta_tilde=0.05, seed=5)
     assert pc.C == 0.0 and pc.source == "empirical-quantile"
+    assert pc.method == "gaussian-exact"
 
 
 def test_calibrated_never_exceeds_theoretical_subgaussian():
@@ -185,3 +193,82 @@ def test_calibrate_is_deterministic_in_seed():
     a = calibrate_C(mech, X, ell, n_rep=150, delta_tilde=0.1, seed=12)
     b = calibrate_C(mech, X, ell, n_rep=150, delta_tilde=0.1, seed=12)
     assert a.C == b.C
+
+
+# ---------------------------------------------------------------------------
+# the exact route for Gaussian residual laws
+# ---------------------------------------------------------------------------
+
+_GAUSSIAN_LAWS = [
+    ("glm-well-specified", {"family": "gaussian", "beta0": [0.3, -0.2, 0.1]}),
+    ("hetero-gaussian", {"beta0": [0.3, -0.2, 0.1], "sigmas": [0.5, 2.0, 1.0]}),
+]
+
+
+def _gaussian_setup(name, params):
+    n, d = 40, 3
+    X = make_design(n, d, "uniform", seed=14)
+    mech = get_mechanism(name, **params)
+    ell = default_ellipsoid(np.zeros(d), n)
+    sigma = np.sqrt(mech.law.gaussian_variance(mech.mean(X)))
+    B = X @ ell.W_inv_sqrt
+    M = B.T @ (sigma[:, None] ** 2 * B)
+    return X, mech, ell, sigma, (M + M.T) / 2
+
+
+@pytest.mark.parametrize("name, params", _GAUSSIAN_LAWS)
+def test_gaussian_C_is_the_exceedance_quantile(name, params):
+    X, mech, ell, sigma, M = _gaussian_setup(name, params)
+    delta_tilde = 0.05
+    pc = calibrate_C(mech, X, ell, n_rep=400, delta_tilde=delta_tilde, seed=3)
+    assert pc.method == "gaussian-exact" and pc.source == "empirical-quantile"
+    # certified: the Gaussian mass at the returned s is at least 1 - delta_tilde,
+    # and minimal: 1e-4 below it the mass falls short
+    s = (pc.C * ell.d) ** 2 / ell.threshold
+    assert prob_ball(M, s).p >= 1.0 - delta_tilde
+    assert prob_ball(M, 0.9999 * s).p < 1.0 - delta_tilde
+    # 2e5 simulated suprema exceed C d at the rate delta_tilde itself
+    rng = np.random.default_rng(15)
+    r0 = sigma * rng.standard_normal(len(sigma))
+    B = X @ ell.W_inv_sqrt
+    assert abs(np.sqrt(ell.threshold * np.sum((r0 @ B) ** 2))
+               - exact_sup_ellipsoid(X, r0, ell)) < 1e-10
+    n_sims, exceed = 200_000, 0
+    for _ in range(n_sims // 20_000):
+        xi = (sigma * rng.standard_normal((20_000, len(sigma)))) @ B
+        exceed += int(np.count_nonzero(ell.threshold * np.einsum("ij,ij->i", xi, xi)
+                                       > (pc.C * ell.d) ** 2))
+    se = math.sqrt(delta_tilde * (1 - delta_tilde) / n_sims)
+    assert abs(exceed / n_sims - delta_tilde) <= 4 * se
+
+
+def test_gaussian_C_uncertified_mass_falls_back_to_chi2_bound(monkeypatch):
+    X, mech, ell, _, M = _gaussian_setup(*_GAUSSIAN_LAWS[1])
+    exact = calibrate_C(mech, X, ell, n_rep=400, delta_tilde=0.05)
+    monkeypatch.setattr(process_mod, "prob_ball",
+                        lambda M, t: ProbResult(p=0.5, standard_error=0.01,
+                                                method="monte-carlo"))
+    bound = calibrate_C(mech, X, ell, n_rep=400, delta_tilde=0.05)
+    assert bound.method == "gaussian-chi2-bound"
+    # the lam_max end: sup^2 <= R d lam_max chi2_d, at its certified quantile
+    lam_max = np.linalg.eigvalsh(M)[-1]
+    end = math.sqrt(ell.threshold * lam_max * stats.chi2.ppf(0.95, ell.d)) / ell.d
+    assert end <= bound.C <= end * (1 + 1e-9)
+    assert bound.C > exact.C
+
+
+@pytest.mark.parametrize("family", ["logistic", "poisson"])
+def test_simulation_route_is_the_400_draw_order_statistic(family):
+    n, d, seed = 60, 2, 21
+    X = make_design(n, d, "uniform", seed=16)
+    mech = get_mechanism("glm-well-specified", family=family, beta0=[0.3, -0.2])
+    assert mech.law.gaussian_variance is None
+    ell = default_ellipsoid(np.zeros(d), n)
+    mean = mech.mean(X)
+    sups = sorted(exact_sup_ellipsoid(X, mech.draw_from_mean(mean, derive_rng(seed, "calibrate", r))
+                                      - mean, ell)
+                  for r in range(400))
+    pc = calibrate_C(mech, X, ell, n_rep=400, delta_tilde=0.05, seed=seed)
+    # the "higher" order statistic at 0.95: index ceil(0.95 * 399) = 380
+    assert pc.C == sups[380] / d
+    assert pc.method == "simulation"
